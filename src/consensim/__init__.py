@@ -24,12 +24,12 @@ from .engine import (
     DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TOL,
     HypothesisViolation,
-    IterationMatrix,
     RunTrace,
     SpectralPrediction,
     WeightedSystem,
     build_iteration_matrix,
     build_system,
+    certify,
     default_epsilon,
     epsilon_bound,
     limit_matrix,
@@ -41,10 +41,8 @@ from .engine import (
 from .graph import (
     Digraph,
     GraphFormatError,
-    adjacency_matrix,
     is_strongly_connected,
     is_undirected,
-    laplacian,
     load_edge_list,
     out_degrees,
     parse_edge_list,
@@ -54,7 +52,6 @@ from .linalg import (
     PowerIterationResult,
     l1_norm,
     matrix_inf_norm,
-    matvec,
     null_vector,
     power_iteration,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "GraphFormatError",
     "HypothesisViolation",
     "InProcessTransport",
-    "IterationMatrix",
     "MessageProtocolError",
     "NullSpaceError",
     "PowerIterationResult",
@@ -76,23 +72,21 @@ __all__ = [
     "SpectralPrediction",
     "Transport",
     "WeightedSystem",
-    "adjacency_matrix",
     "agent_stepper",
     "build_agents",
     "build_iteration_matrix",
     "build_system",
+    "certify",
     "default_epsilon",
     "epsilon_bound",
     "is_strongly_connected",
     "is_undirected",
     "l1_norm",
-    "laplacian",
     "limit_matrix",
     "load_edge_list",
     "local_update",
     "matrix_inf_norm",
     "matrix_stepper",
-    "matvec",
     "null_vector",
     "out_degrees",
     "parse_edge_list",

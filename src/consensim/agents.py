@@ -172,17 +172,36 @@ def agent_stepper(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Stepper backed by the agent network, for engine.run(..., stepper=...).
 
-    The agents own the state, so the returned callable ignores its argument
-    and returns the snapshot after one more round; the run loop always feeds
-    back the previous snapshot, keeping the two views consistent.
+    The agents own the state: the returned callable runs one more round and
+    returns the committed snapshot.  Its argument must be bitwise equal to
+    the agents' committed states (the initial states before the first
+    round), which is what the run loop feeds back; any other state raises
+    MessageProtocolError naming the first differing node instead of
+    silently desynchronizing the two views.
     """
     agents = build_agents(system, x0)
     if transport is None:
         transport = InProcessTransport()
     listeners = _listener_map(agents)
+    # kept as bytes so a caller mutating a returned array cannot alter it
+    committed = np.array([a.state for a in agents], dtype=np.float64).tobytes()
 
-    def step(_x: np.ndarray) -> np.ndarray:
+    def step(x: np.ndarray) -> np.ndarray:
+        nonlocal committed
+        fed = np.asarray(x, dtype=np.float64)
+        if fed.tobytes() != committed:
+            ours = np.frombuffer(committed, dtype=np.uint64)
+            theirs = fed.reshape(-1).view(np.uint64)
+            k = min(ours.size, theirs.size)
+            diff = np.flatnonzero(ours[:k] != theirs[:k])
+            node = int(diff[0]) if diff.size else k
+            raise MessageProtocolError(
+                f"stepper fed a state that differs from the agents' committed states "
+                f"at node {node}"
+            )
         step_round(agents, epsilon, transport, listeners)
-        return np.array([a.state for a in agents], dtype=np.float64)
+        snapshot = np.array([a.state for a in agents], dtype=np.float64)
+        committed = snapshot.tobytes()
+        return snapshot
 
     return step

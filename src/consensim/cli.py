@@ -24,18 +24,14 @@ from .engine import (
     RunTrace,
     WeightedSystem,
     build_system,
+    certify,
     default_epsilon,
     epsilon_bound,
     predict,
     run,
 )
-from .graph import (
-    GraphFormatError,
-    is_strongly_connected,
-    is_undirected,
-    load_edge_list,
-)
-from .linalg import NullSpaceError, null_vector
+from .graph import GraphFormatError, load_edge_list
+from .linalg import NullSpaceError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -210,30 +206,22 @@ def _load_problem(config: ExperimentConfig) -> tuple[WeightedSystem, np.ndarray,
 def cmd_check(args) -> int:
     config = _config_from_args(args)
     system, x0, eps = _load_problem(config)
-    bound = epsilon_bound(system)
-    sc = is_strongly_connected(system.graph)
-    und = is_undirected(system.graph)
-    certified = sc and eps < bound
+    problems = certify(system, eps)
     d = system.d
     print(f"nodes: {system.n}")
     print(f"edges: {system.graph.m}")
-    print(f"strongly_connected: {_fmt_bool(sc)}")
-    print(f"undirected: {_fmt_bool(und)}")
+    print(f"strongly_connected: {_fmt_bool(system.strongly_connected)}")
+    print(f"undirected: {_fmt_bool(system.undirected)}")
     print(f"out_degree_min: {int(d.min())}")
     print(f"out_degree_max: {int(d.max())}")
-    print(f"epsilon_bound: {_fmt(bound)}")
+    print(f"epsilon_bound: {_fmt(epsilon_bound(system))}")
     print(f"epsilon: {_fmt(eps)}")
-    print(f"certified: {_fmt_bool(certified)}")
-    if sc:
+    print(f"certified: {_fmt_bool(not problems)}")
+    if system.strongly_connected:
         prediction = predict(system, x0, eps)
         print(f"v: {_fmt_vector(prediction.v)}")
         print(f"predicted_alpha: {_fmt(prediction.alpha)}")
         print(f"rho_estimate: {_fmt(prediction.rho_estimate)}")
-    problems = []
-    if not sc:
-        problems.append("graph is not strongly connected")
-    if not eps < bound:
-        problems.append(f"epsilon {_fmt(eps)} is not strictly below the bound {_fmt(bound)}")
     if problems:
         print(f"hypotheses: violated ({'; '.join(problems)})")
         return EXIT_HYPOTHESIS
@@ -266,23 +254,16 @@ def _opt_float(value: float) -> float | None:
     return None if math.isnan(f) else f
 
 
-def _summary_dict(
-    system: WeightedSystem,
-    eps: float,
-    v: np.ndarray | None,
-    trace: RunTrace,
-    mode: str,
-) -> dict:
-    bound = epsilon_bound(system)
-    sc = is_strongly_connected(system.graph)
+def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str) -> dict:
+    v = system.v
     data: dict = {
         "n": system.n,
         "m": system.graph.m,
-        "strongly_connected": sc,
-        "undirected": is_undirected(system.graph),
+        "strongly_connected": system.strongly_connected,
+        "undirected": system.undirected,
         "epsilon": float(eps),
-        "epsilon_bound": bound,
-        "certified": sc and eps < bound,
+        "epsilon_bound": epsilon_bound(system),
+        "certified": not certify(system, eps),
         "predicted_alpha": _opt_float(trace.predicted_alpha),
         "v": [float(x) for x in v] if v is not None else None,
     }
@@ -319,14 +300,13 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     system, x0, eps = _load_problem(config)
     trace = _execute_run(config, system, x0, eps, config.mode)
-    v = null_vector(system.lap_w.T) if is_strongly_connected(system.graph) else None
 
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / "trace.csv"
     summary_path = outdir / "summary.json"
     _write_trace_csv(trace_path, trace, system.n)
-    summary = _summary_dict(system, eps, v, trace, config.mode)
+    summary = _summary_dict(system, eps, trace, config.mode)
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

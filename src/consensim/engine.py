@@ -1,4 +1,4 @@
-"""Weighted-consensus engine: iteration matrix, certification, runs, predictions.
+"""Weighted-consensus engine: certification, iteration matrix, runs, predictions.
 
 The update rule is x(k+1) = P x(k) with P = I - eps * L_w, where
 L_w = W^{-1} L scales each Laplacian row by the inverse node weight.  When
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .graph import Digraph, is_strongly_connected, is_undirected, laplacian, out_degrees
+from .graph import Digraph, is_strongly_connected, is_undirected, out_degrees
 from .linalg import as_vector, null_vector, power_iteration
 
 DEFAULT_EPSILON_FACTOR = 0.9
@@ -35,21 +36,20 @@ class HypothesisViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightedSystem:
-    """A digraph with positive node weights and the derived matrices.
+    """A digraph with positive node weights and the facts that depend on them alone.
 
-    lap is the Laplacian L = D - A; lap_w is W^{-1} L (row i divided by
-    w[i]).  listeners/sources are the edges as parallel index arrays sorted
-    by (listener, source); this fixed ascending order is the canonical
+    listeners/sources are the edges as parallel index arrays sorted by
+    (listener, source); this fixed ascending order is the canonical
     summation order shared with the message-passing simulator, which is what
-    keeps the two execution paths bit-identical.  Treat instances as
-    immutable; the arrays are not defensively copied.
+    keeps the two execution paths bit-identical.  The graph-only facts
+    (strong connectivity, undirectedness, the stationary vector v) do not
+    depend on the step size, so each is computed at most once per instance.
+    Treat instances as immutable; the arrays are not defensively copied.
     """
 
     graph: Digraph
     w: np.ndarray
     d: np.ndarray
-    lap: np.ndarray
-    lap_w: np.ndarray
     listeners: np.ndarray
     sources: np.ndarray
 
@@ -57,20 +57,39 @@ class WeightedSystem:
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def lap_w(self) -> np.ndarray:
+        """Dense W^{-1} L (Laplacian row i divided by w[i]), built on each access."""
+        lap_w = np.zeros((self.n, self.n), dtype=np.float64)
+        lap_w[self.listeners, self.sources] = -1.0 / self.w[self.listeners]
+        lap_w[np.diag_indices(self.n)] = self.d / self.w
+        return lap_w
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        return is_strongly_connected(self.graph)
+
+    @cached_property
+    def undirected(self) -> bool:
+        return is_undirected(self.graph)
+
+    @cached_property
+    def v(self) -> np.ndarray | None:
+        """Positive unit-l1 null vector of L_w^T, or None when the graph is not
+        strongly connected.  Raises NullSpaceError when elimination fails."""
+        return null_vector(self.lap_w.T) if self.strongly_connected else None
+
 
 def build_system(graph: Digraph, w) -> WeightedSystem:
-    """Validate weights and precompute the matrices for a weighted system."""
+    """Validate weights and precompute the edge arrays for a weighted system."""
     wv = as_vector(w, graph.n).copy()
     if wv.size and float(wv.min()) <= 0.0:
         raise ValueError("node weights must be strictly positive")
-    d = out_degrees(graph)
-    lap = laplacian(graph)
-    lap_w = lap / wv[:, None]
     edge_list = sorted(graph.edges)
     listeners = np.array([i for i, _ in edge_list], dtype=np.intp)
     sources = np.array([j for _, j in edge_list], dtype=np.intp)
     return WeightedSystem(
-        graph=graph, w=wv, d=d, lap=lap, lap_w=lap_w, listeners=listeners, sources=sources
+        graph=graph, w=wv, d=out_degrees(graph), listeners=listeners, sources=sources
     )
 
 
@@ -94,22 +113,32 @@ def default_epsilon(system: WeightedSystem) -> float:
     return DEFAULT_EPSILON_FACTOR * bound
 
 
-@dataclass(frozen=True)
-class IterationMatrix:
-    """Iteration matrix P = I - eps * L_w plus its certification flag.
+def _step_size(epsilon: float) -> float:
+    eps = float(epsilon)
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise ValueError("epsilon must be positive and finite")
+    return eps
 
-    certified is True iff eps is strictly below the degree bound and the
-    graph is strongly connected, the hypotheses under which convergence to
-    consensus is guaranteed.
+
+def certify(system: WeightedSystem, epsilon: float) -> list[str]:
+    """The convergence-theorem hypotheses that fail for this step size.
+
+    The hypotheses are a strongly connected graph and epsilon strictly below
+    the degree bound; an empty list means the configuration is certified.
+    Raises ValueError when epsilon is not positive and finite.
     """
+    eps = _step_size(epsilon)
+    bound = epsilon_bound(system)
+    failed = []
+    if not system.strongly_connected:
+        failed.append("graph is not strongly connected")
+    if not eps < bound:
+        failed.append(f"epsilon {eps!r} is not strictly below the bound {bound!r}")
+    return failed
 
-    p: np.ndarray
-    epsilon: float
-    certified: bool
 
-
-def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> IterationMatrix:
-    """Assemble P = I - eps * L_w entrywise.
+def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> np.ndarray:
+    """Assemble the dense iteration matrix P = I - eps * L_w entrywise.
 
     Each row uses the ratio eps / w_i computed first, so off-diagonal
     entries are exactly fl(eps / w_i) and the diagonal is
@@ -117,9 +146,7 @@ def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> IterationM
     invariant under jointly scaling (w, eps) by any constant whose products
     round exactly, and within a couple of ulps otherwise.
     """
-    eps = float(epsilon)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError("epsilon must be positive and finite")
+    eps = _step_size(epsilon)
     n = system.n
     ratios = eps / system.w
     p = np.zeros((n, n), dtype=np.float64)
@@ -127,8 +154,7 @@ def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> IterationM
         p[system.listeners, system.sources] = ratios[system.listeners]
     idx = np.arange(n)
     p[idx, idx] = 1.0 - ratios * system.d
-    certified = eps < epsilon_bound(system) and is_strongly_connected(system.graph)
-    return IterationMatrix(p=p, epsilon=eps, certified=certified)
+    return p
 
 
 @dataclass(frozen=True)
@@ -154,17 +180,17 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
     step size is used for that estimate.
     """
     x = as_vector(x0, system.n)
-    if not is_strongly_connected(system.graph):
+    v = system.v
+    if v is None:
         raise HypothesisViolation("graph is not strongly connected")
-    v = null_vector(system.lap_w.T)
     alpha = float(v @ x)
     bound = epsilon_bound(system)
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     if not (0.0 < eps < bound):
         eps = default_epsilon(system)
-    pm = build_iteration_matrix(system, eps)
+    p = build_iteration_matrix(system, eps)
     start = np.full(system.n, 1.0 / system.n)
-    pr = power_iteration(pm.p.T, start, max_iter=_POWER_MAX_ITER, tol=_POWER_TOL)
+    pr = power_iteration(p.T, start, max_iter=_POWER_MAX_ITER, tol=_POWER_TOL)
     return SpectralPrediction(v=v, alpha=alpha, rho_estimate=pr.value)
 
 
@@ -277,19 +303,14 @@ def run(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
-    pm = build_iteration_matrix(system, eps)
-    if not pm.certified and not override_uncertified:
+    if certify(system, eps) and not override_uncertified:
         raise HypothesisViolation(
             "configuration is not certified (epsilon at or above the bound, or graph "
             "not strongly connected)"
         )
 
-    if is_strongly_connected(system.graph):
-        v = null_vector(system.lap_w.T)
-        alpha = float(v @ x)
-    else:
-        v = None
-        alpha = math.nan
+    v = system.v
+    alpha = float(v @ x) if v is not None else math.nan
 
     if stepper is None:
         stepper = matrix_stepper(system, eps)
@@ -341,14 +362,12 @@ def limit_matrix(system: WeightedSystem, epsilon: float | None = None) -> np.nda
     is (v . x0) in every coordinate.
     """
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
-    pm = build_iteration_matrix(system, eps)
-    if not pm.certified:
+    if certify(system, eps):
         raise HypothesisViolation(
             "limit matrix requires a certified system (strongly connected graph and "
             "epsilon strictly below the bound)"
         )
-    v = null_vector(system.lap_w.T)
-    return np.tile(v, (system.n, 1))
+    return np.tile(system.v, (system.n, 1))
 
 
 def undirected_alpha(system: WeightedSystem, x0) -> float:
@@ -358,8 +377,8 @@ def undirected_alpha(system: WeightedSystem, x0) -> float:
     there, so no eigenvector computation is needed.
     """
     x = as_vector(x0, system.n)
-    if not is_undirected(system.graph):
+    if not system.undirected:
         raise HypothesisViolation("closed-form weighted mean requires an undirected graph")
-    if not is_strongly_connected(system.graph):
+    if not system.strongly_connected:
         raise HypothesisViolation("closed-form weighted mean requires a connected graph")
     return float((system.w @ x) / np.sum(system.w))

@@ -1,4 +1,4 @@
-"""Directed graphs, edge-list parsing, degrees, and Laplacian construction."""
+"""Directed graphs, edge-list parsing, degrees, and connectivity."""
 
 from __future__ import annotations
 
@@ -122,27 +122,6 @@ def out_degrees(g: Digraph) -> np.ndarray:
     for i, _ in g.edges:
         d[i] += 1
     return d
-
-
-def adjacency_matrix(g: Digraph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix A with A[i, j] = 1 iff i listens to j."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges:
-        a[i, j] = 1
-    return a.astype(np.float64)
-
-
-def laplacian(g: Digraph) -> np.ndarray:
-    """Graph Laplacian L = D - A as float64, assembled in integer arithmetic.
-
-    D is the diagonal out-degree matrix, so every row of L sums to zero
-    exactly and the diagonal equals the out-degree vector.
-    """
-    lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges:
-        lap[i, j] = -1
-        lap[i, i] += 1
-    return lap.astype(np.float64)
 
 
 def is_strongly_connected(g: Digraph) -> bool:

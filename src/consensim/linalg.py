@@ -44,13 +44,6 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def matvec(m, x) -> np.ndarray:
-    """Matrix-vector product with shape validation."""
-    a = as_square_matrix(m)
-    v = as_vector(x, a.shape[0])
-    return a @ v
-
-
 def l1_norm(x) -> float:
     """Sum of absolute entries."""
     return float(np.sum(np.abs(as_vector(x))))

@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the library's own computation routes:
 reachability goes through a transitive-closure sweep instead of graph
-search, iteration matrices are assembled as a whole-matrix expression
-instead of entrywise ratios, and consensus values come from long plain
-matrix-vector products.
+search, Laplacians are assembled in integer arithmetic from the edge set,
+iteration matrices are assembled as a whole-matrix expression instead of
+entrywise ratios, and consensus values come from long plain matrix-vector
+products.
 """
 
 from __future__ import annotations
@@ -69,6 +70,27 @@ def random_weights(
 def random_system(rng: np.random.Generator, **graph_kwargs) -> WeightedSystem:
     g = random_digraph(rng, **graph_kwargs)
     return build_system(g, random_weights(rng, g.n))
+
+
+def adjacency_matrix(g: Digraph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix A with A[i, j] = 1 iff i listens to j."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, j in g.edges:
+        a[i, j] = 1
+    return a.astype(np.float64)
+
+
+def laplacian(g: Digraph) -> np.ndarray:
+    """Graph Laplacian L = D - A as float64, assembled in integer arithmetic.
+
+    D is the diagonal out-degree matrix, so every row of L sums to zero
+    exactly and the diagonal equals the out-degree vector.
+    """
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, j in g.edges:
+        lap[i, j] = -1
+        lap[i, i] += 1
+    return lap.astype(np.float64)
 
 
 def strongly_connected_oracle(g: Digraph) -> bool:

@@ -137,6 +137,21 @@ class TestLockstepWithMatrixEngine:
             step_round(agents, eps)
             assert x.tobytes() == np.array([a.state for a in agents]).tobytes()
 
+    def test_agent_stepper_rejects_a_state_other_than_its_own(self):
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        x0 = np.array([6.0, 0.0, 0.0])
+        stepper = agent_stepper(system, x0, 0.9)
+        with pytest.raises(MessageProtocolError, match="node 1"):
+            stepper(np.array([6.0, -0.0, 0.0]))
+        x1 = stepper(x0)
+        with pytest.raises(MessageProtocolError, match="node 0"):
+            stepper(np.zeros(3))
+        fed = x1.copy()
+        fed[2] = np.nextafter(fed[2], np.inf)
+        with pytest.raises(MessageProtocolError, match="node 2"):
+            stepper(fed)
+        np.testing.assert_array_equal(stepper(x1), matrix_stepper(system, 0.9)(x1))
+
     def test_heavy_weight_ratio_still_bit_identical(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n0 2\n")
         system = build_system(g, [0.1, 10.0, 5.0])

@@ -1,11 +1,15 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import consensim.cli as cli
+import consensim.engine as engine
+from consensim.agents import InProcessTransport
 from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
@@ -293,19 +297,20 @@ class TestCompare:
     ):
         real = cli.agent_stepper
 
+        class CorruptingTransport(InProcessTransport):
+            # corrupts the message node 1 receives in round 5
+            rounds = 0
+
+            def collect(self, receiver):
+                inbox = super().collect(receiver)
+                if receiver == 1:
+                    self.rounds += 1
+                    if self.rounds == 5:
+                        inbox = {j: x + 1e-9 for j, x in inbox.items()}
+                return inbox
+
         def perturbed(system, x0, epsilon, transport=None):
-            inner = real(system, x0, epsilon, transport)
-            rounds = {"k": 0}
-
-            def step(x):
-                out = inner(x)
-                rounds["k"] += 1
-                if rounds["k"] == 5:
-                    out = out.copy()
-                    out[1] += 1e-9
-                return out
-
-            return step
+            return real(system, x0, epsilon, CorruptingTransport())
 
         monkeypatch.setattr(cli, "agent_stepper", perturbed)
         rc = main(["compare", "--graph", str(triangle), "--out", str(tmp_path)])
@@ -320,6 +325,32 @@ class TestCompare:
             ["compare", "--graph", str(triangle), "--epsilon", "2.0", "--out", str(tmp_path)]
         )
         assert rc == 2
+
+
+class TestOneCertificationPerCommand:
+    @pytest.mark.parametrize(
+        "command, dense_builds", [("check", 1), ("run", 0), ("compare", 0)]
+    )
+    def test_graph_facts_computed_once(
+        self, command, dense_builds, tmp_path, triangle, monkeypatch, capsys
+    ):
+        # v and strong connectivity depend on the graph and weights only, so a
+        # command computes each once; P is built only where predict reads it
+        calls = {"is_strongly_connected": 0, "null_vector": 0, "build_iteration_matrix": 0}
+        for name in calls:
+            real = getattr(engine, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        assert main([command, "--graph", str(triangle), "--out", str(tmp_path)]) == 0
+        assert calls == {
+            "is_strongly_connected": 1,
+            "null_vector": 1,
+            "build_iteration_matrix": dense_builds,
+        }
 
 
 class TestExperimentConfig:
@@ -349,6 +380,13 @@ class TestExperimentConfig:
             ExperimentConfig(graph_path="g.txt", **kwargs)
 
 
+def module_env():
+    # the child imports the same consensim source tree as this process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntrypoint:
     def test_module_invocation_round_trip(self, tmp_path, triangle):
         out = tmp_path / "o"
@@ -357,6 +395,7 @@ class TestEntrypoint:
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert "wrote:" in proc.stdout
@@ -369,6 +408,7 @@ class TestEntrypoint:
             [sys.executable, "-m", "consensim", "check", "--graph", str(g)],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 2
 

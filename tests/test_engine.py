@@ -7,6 +7,7 @@ from consensim.engine import (
     HypothesisViolation,
     build_iteration_matrix,
     build_system,
+    certify,
     default_epsilon,
     epsilon_bound,
     limit_matrix,
@@ -23,6 +24,7 @@ from helpers import (
     dyadic_epsilon,
     dyadic_weights,
     iteration_matrix_oracle,
+    laplacian,
     random_digraph,
     random_system,
     random_undirected_digraph,
@@ -43,7 +45,14 @@ class TestBuildSystem:
 
     def test_unit_weights_leave_laplacian_unchanged(self):
         system = build_system(THREE_CYCLE, np.ones(3))
-        np.testing.assert_array_equal(system.lap_w, system.lap)
+        np.testing.assert_array_equal(system.lap_w, laplacian(THREE_CYCLE))
+
+    def test_lap_w_is_bitwise_the_row_rescaled_laplacian(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            system = random_system(rng, n_hi=15, require_strong=False)
+            expected = laplacian(system.graph) / system.w[:, None]
+            assert system.lap_w.tobytes() == expected.tobytes()
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -94,57 +103,63 @@ class TestEpsilonBound:
 class TestBuildIterationMatrix:
     def test_unit_weight_three_cycle_half_step(self):
         system = build_system(THREE_CYCLE, np.ones(3))
-        pm = build_iteration_matrix(system, 0.5)
+        p = build_iteration_matrix(system, 0.5)
         expected = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        np.testing.assert_array_equal(pm.p, expected)
-        assert pm.certified
+        np.testing.assert_array_equal(p, expected)
+        assert certify(system, 0.5) == []
 
     def test_matches_whole_matrix_expression(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             system = random_system(rng, n_hi=15)
             eps = float(rng.uniform(0.1, 1.0)) * epsilon_bound(system)
-            pm = build_iteration_matrix(system, eps)
-            np.testing.assert_allclose(pm.p, iteration_matrix_oracle(system, eps), atol=1e-14)
+            p = build_iteration_matrix(system, eps)
+            np.testing.assert_allclose(p, iteration_matrix_oracle(system, eps), atol=1e-14)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             system = random_system(rng, n_hi=25)
-            pm = build_iteration_matrix(system, default_epsilon(system))
-            np.testing.assert_allclose(pm.p.sum(axis=1), np.ones(system.n), rtol=0, atol=1e-12)
+            p = build_iteration_matrix(system, default_epsilon(system))
+            np.testing.assert_allclose(p.sum(axis=1), np.ones(system.n), rtol=0, atol=1e-12)
 
     def test_entries_nonnegative_below_bound(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             system = random_system(rng, n_hi=25)
             eps = float(rng.uniform(0.05, 0.999)) * epsilon_bound(system)
-            pm = build_iteration_matrix(system, eps)
-            assert float(pm.p.min()) >= 0.0
-            assert pm.certified
+            p = build_iteration_matrix(system, eps)
+            assert float(p.min()) >= 0.0
+            assert certify(system, eps) == []
 
     def test_above_bound_negative_diagonal_and_uncertified(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
-        pm = build_iteration_matrix(system, 1.5)
-        assert float(pm.p.min()) < 0.0
-        assert not pm.certified
+        p = build_iteration_matrix(system, 1.5)
+        assert float(p.min()) < 0.0
+        assert certify(system, 1.5) == ["epsilon 1.5 is not strictly below the bound 1.0"]
 
     def test_epsilon_exactly_at_bound_is_uncertified(self):
         system = build_system(THREE_CYCLE, np.ones(3))
-        pm = build_iteration_matrix(system, epsilon_bound(system))
-        assert not pm.certified
+        assert certify(system, epsilon_bound(system)) == [
+            "epsilon 1.0 is not strictly below the bound 1.0"
+        ]
 
     def test_not_strongly_connected_is_uncertified(self):
         g = parse_edge_list("0 1\n")
         system = build_system(g, np.ones(2))
-        pm = build_iteration_matrix(system, 0.5)
-        assert not pm.certified
+        assert certify(system, 0.5) == ["graph is not strongly connected"]
+        assert certify(system, 1.0) == [
+            "graph is not strongly connected",
+            "epsilon 1.0 is not strictly below the bound 1.0",
+        ]
 
     def test_rejects_bad_epsilon(self):
         system = build_system(THREE_CYCLE, np.ones(3))
         for bad in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 build_iteration_matrix(system, bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                certify(system, bad)
 
 
 class TestScaleInvariance:
@@ -157,10 +172,10 @@ class TestScaleInvariance:
             g = random_digraph(rng, n_hi=15)
             system = build_system(g, dyadic_weights(rng, g.n))
             eps = dyadic_epsilon(system)
-            p_ref = build_iteration_matrix(system, eps).p
+            p_ref = build_iteration_matrix(system, eps)
             for c in (0.5, 3.0, 100.0):
                 scaled = build_system(g, c * system.w)
-                p_scaled = build_iteration_matrix(scaled, c * eps).p
+                p_scaled = build_iteration_matrix(scaled, c * eps)
                 assert p_ref.tobytes() == p_scaled.tobytes()
 
     def test_joint_rescaling_with_arbitrary_weights_stays_within_rounding(self):
@@ -173,10 +188,10 @@ class TestScaleInvariance:
             g = random_digraph(rng, n_hi=15)
             system = build_system(g, random_weights(rng, g.n))
             eps = 0.9 * epsilon_bound(system)
-            p_ref = build_iteration_matrix(system, eps).p
+            p_ref = build_iteration_matrix(system, eps)
             for c in (0.5, 3.0, 100.0):
                 scaled = build_system(g, c * system.w)
-                p_scaled = build_iteration_matrix(scaled, c * eps).p
+                p_scaled = build_iteration_matrix(scaled, c * eps)
                 assert float(np.max(np.abs(p_ref - p_scaled))) <= 2e-15
 
     def test_halving_is_exact_for_any_weights(self):
@@ -186,8 +201,8 @@ class TestScaleInvariance:
             system = build_system(g, random_weights(rng, g.n))
             eps = 0.9 * epsilon_bound(system)
             scaled = build_system(g, 0.5 * system.w)
-            p_ref = build_iteration_matrix(system, eps).p
-            p_scaled = build_iteration_matrix(scaled, 0.5 * eps).p
+            p_ref = build_iteration_matrix(system, eps)
+            p_scaled = build_iteration_matrix(scaled, 0.5 * eps)
             assert p_ref.tobytes() == p_scaled.tobytes()
 
 
@@ -234,7 +249,7 @@ class TestRun:
             eps = default_epsilon(system)
             x0 = rng.uniform(-10.0, 10.0, system.n)
             trace = run(system, x0, eps)
-            p = build_iteration_matrix(system, eps).p
+            p = build_iteration_matrix(system, eps)
             brute = brute_force_iterate(p, x0, 20_000)
             assert trace.converged_at is not None
             np.testing.assert_allclose(trace.final_state, brute, atol=1e-8)
@@ -309,7 +324,7 @@ class TestRun:
         eps = default_epsilon(system)
         x0 = rng.uniform(-10.0, 10.0, system.n)
         trace = run(system, x0, eps, snapshot_limit=1_000_000)
-        p = build_iteration_matrix(system, eps).p
+        p = build_iteration_matrix(system, eps)
         assert trace.steps == list(range(trace.steps_run + 1))
         for k in range(len(trace.steps) - 1):
             np.testing.assert_allclose(
@@ -374,6 +389,9 @@ class TestRun:
             run(system, [1.0, 2.0, 3.0], tol=0.0)
         with pytest.raises(ValueError, match="max_steps"):
             run(system, [1.0, 2.0, 3.0], max_steps=-1)
+        for bad in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                run(system, [1.0, 2.0, 3.0], epsilon=bad, override_uncertified=True)
 
 
 class TestLimitMatrix:
@@ -394,14 +412,14 @@ class TestLimitMatrix:
             system = random_system(rng, n_hi=10, dens_lo=0.4)
             eps = default_epsilon(system)
             t = limit_matrix(system, eps)
-            p = build_iteration_matrix(system, eps).p
+            p = build_iteration_matrix(system, eps)
             assert np.max(np.abs(t @ p - t)) < 1e-10
             assert np.max(np.abs(p @ t - t)) < 1e-10
 
     def test_matrix_powers_approach_the_limit(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
         eps = 0.5
-        p = build_iteration_matrix(system, eps).p
+        p = build_iteration_matrix(system, eps)
         t = limit_matrix(system, eps)
         assert np.max(np.abs(np.linalg.matrix_power(p, 200) - t)) < 1e-12
 

@@ -4,15 +4,19 @@ import pytest
 from consensim.graph import (
     Digraph,
     GraphFormatError,
-    adjacency_matrix,
     is_strongly_connected,
     is_undirected,
-    laplacian,
     out_degrees,
     parse_edge_list,
 )
 
-from helpers import random_digraph, random_undirected_digraph, strongly_connected_oracle
+from helpers import (
+    adjacency_matrix,
+    laplacian,
+    random_digraph,
+    random_undirected_digraph,
+    strongly_connected_oracle,
+)
 
 
 class TestDigraph:

@@ -7,7 +7,6 @@ from consensim.linalg import (
     NullSpaceError,
     l1_norm,
     matrix_inf_norm,
-    matvec,
     null_vector,
     power_iteration,
 )
@@ -16,26 +15,6 @@ from helpers import random_digraph, random_weights
 
 
 class TestBasics:
-    def test_matvec_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(matvec(np.eye(3), x), x)
-
-    def test_matvec_permutation(self):
-        p = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(matvec(p, [3.0, 4.0]), [4.0, 3.0])
-
-    def test_matvec_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length 2"):
-            matvec(np.eye(2), [1.0, 2.0, 3.0])
-
-    def test_matvec_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            matvec(np.zeros((2, 3)), [1.0, 2.0, 3.0])
-
-    def test_matvec_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            matvec(np.full((2, 2), np.nan), [1.0, 2.0])
-
     def test_l1_norm(self):
         assert l1_norm([1.0, -2.0, 3.0]) == 6.0
         assert l1_norm([0.0]) == 0.0
@@ -137,9 +116,9 @@ class TestPowerIteration:
             g = random_digraph(rng, n_hi=10, dens_lo=0.4)
             system = build_system(g, random_weights(rng, g.n))
             v = null_vector(system.lap_w.T)
-            pm = build_iteration_matrix(system, default_epsilon(system))
+            p = build_iteration_matrix(system, default_epsilon(system))
             res = power_iteration(
-                pm.p.T, np.full(g.n, 1.0 / g.n), max_iter=500_000, tol=1e-13
+                p.T, np.full(g.n, 1.0 / g.n), max_iter=500_000, tol=1e-13
             )
             assert res.converged
             assert abs(res.value - 1.0) < 1e-10
