@@ -50,8 +50,6 @@ from .graph import (
 from .linalg import (
     NullSpaceError,
     PowerIterationResult,
-    l1_norm,
-    matrix_inf_norm,
     null_vector,
     power_iteration,
 )
@@ -81,11 +79,9 @@ __all__ = [
     "epsilon_bound",
     "is_strongly_connected",
     "is_undirected",
-    "l1_norm",
     "limit_matrix",
     "load_edge_list",
     "local_update",
-    "matrix_inf_norm",
     "matrix_stepper",
     "null_vector",
     "out_degrees",

@@ -256,13 +256,15 @@ def _opt_float(value: float) -> float | None:
 
 def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str) -> dict:
     v = system.v
+    bound = epsilon_bound(system)
     data: dict = {
         "n": system.n,
         "m": system.graph.m,
         "strongly_connected": system.strongly_connected,
         "undirected": system.undirected,
         "epsilon": float(eps),
-        "epsilon_bound": epsilon_bound(system),
+        # +inf (no edges) has no JSON spelling; README writes unavailable values as null
+        "epsilon_bound": bound if math.isfinite(bound) else None,
         "certified": not certify(system, eps),
         "predicted_alpha": _opt_float(trace.predicted_alpha),
         "v": [float(x) for x in v] if v is not None else None,

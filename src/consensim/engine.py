@@ -58,12 +58,17 @@ class WeightedSystem:
         return self.graph.n
 
     @property
+    def lap(self) -> np.ndarray:
+        """Dense integer-valued Laplacian L = D - A as float64, built on each access."""
+        lap = np.zeros((self.n, self.n), dtype=np.float64)
+        lap[self.listeners, self.sources] = -1.0
+        lap[np.diag_indices(self.n)] = self.d
+        return lap
+
+    @property
     def lap_w(self) -> np.ndarray:
         """Dense W^{-1} L (Laplacian row i divided by w[i]), built on each access."""
-        lap_w = np.zeros((self.n, self.n), dtype=np.float64)
-        lap_w[self.listeners, self.sources] = -1.0 / self.w[self.listeners]
-        lap_w[np.diag_indices(self.n)] = self.d / self.w
-        return lap_w
+        return self.lap / self.w[:, None]
 
     @cached_property
     def strongly_connected(self) -> bool:
@@ -76,8 +81,16 @@ class WeightedSystem:
     @cached_property
     def v(self) -> np.ndarray | None:
         """Positive unit-l1 null vector of L_w^T, or None when the graph is not
-        strongly connected.  Raises NullSpaceError when elimination fails."""
-        return null_vector(self.lap_w.T) if self.strongly_connected else None
+        strongly connected.
+
+        Solved on the integer Laplacian, which keeps the weight spread out of
+        the matrix: L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.
+        Raises NullSpaceError when the solve's postconditions fail.
+        """
+        if not self.strongly_connected:
+            return None
+        v = self.w * null_vector(self.lap.T)
+        return v / v.sum()
 
 
 def build_system(graph: Digraph, w) -> WeightedSystem:

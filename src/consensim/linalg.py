@@ -2,8 +2,9 @@
 
 Vectors and matrices are plain float64 numpy arrays.  The two nontrivial
 routines here form a deliberate dual route: :func:`null_vector` extracts the
-stationary direction by direct elimination, while :func:`power_iteration`
-estimates the same direction iteratively, so each can check the other.
+stationary direction with one bordered LAPACK solve, while
+:func:`power_iteration` estimates the same direction iteratively, so each
+can check the other.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PIVOT_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
 
 
@@ -56,72 +56,45 @@ def matrix_inf_norm(m) -> float:
 
 
 def null_vector(m) -> np.ndarray:
-    """Null vector of a transposed weighted Laplacian, normalized to unit l1 norm.
+    """Null vector of a transposed Laplacian, normalized to unit l1 norm.
 
     Intended for matrices M with a one-dimensional null space spanned by an
-    entrywise-positive vector (M equal to the transpose of a weighted
-    Laplacian of a strongly connected graph guarantees this).  Gaussian
-    elimination with partial pivoting reduces M; the column of the single
-    numerically negligible pivot becomes the free variable, back substitution
-    fills in the rest, and the result is scaled to unit l1 norm with its
-    first nonzero entry positive.
+    entrywise-positive vector (M equal to the transpose of a Laplacian of a
+    strongly connected graph guarantees this).  The last row of M is
+    replaced by ones and one LAPACK solve against e_n picks the null vector
+    with entry sum 1.  The rows of a transposed Laplacian sum to zero, so the
+    other rows still span the orthogonal complement of the null vector; the
+    ones row is not in it, so the bordered system is nonsingular exactly when
+    the null space is one-dimensional.
 
-    Raises :class:`NullSpaceError` when the number of negligible pivots is
-    not exactly one, when the residual check ``||M v||_inf <=
-    1e-10 * ||M||_inf * ||v||_inf`` fails, or when the normalized vector is
-    not entrywise positive.  Those are theorem conclusions, so their failure
-    signals a bad input or a bug rather than a condition to repair silently.
+    Raises :class:`NullSpaceError` when the bordered system is singular,
+    when the residual check ``||M v||_inf <= 1e-10 * ||M||_inf * ||v||_inf``
+    fails, or when the normalized vector is not entrywise positive.  Those
+    are theorem conclusions, so their failure signals a bad input or a bug
+    rather than a condition to repair silently.
     """
     original = as_square_matrix(m)
     n = original.shape[0]
-    u = original.copy()
-    scale = matrix_inf_norm(original)
-    pivot_tol = _PIVOT_RTOL * scale
-
-    pivots = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
-        if p != k:
-            u[[k, p], :] = u[[p, k], :]
-        pivots[k] = abs(u[k, k])
-        if u[k, k] != 0.0 and k + 1 < n:
-            factors = u[k + 1 :, k] / u[k, k]
-            u[k + 1 :, k:] -= np.outer(factors, u[k, k:])
-            u[k + 1 :, k] = 0.0
-
-    negligible = int(np.sum(pivots <= pivot_tol))
-    if negligible == 0:
+    bordered = original.copy()
+    bordered[-1, :] = 1.0
+    rhs = np.zeros(n, dtype=np.float64)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
         raise NullSpaceError(
-            "matrix is numerically nonsingular; expected a one-dimensional null space"
-        )
-    if negligible > 1:
-        raise NullSpaceError(
-            f"null space dimension at least {negligible}; "
-            "expected exactly one (is the graph strongly connected?)"
-        )
+            "bordered system is singular; expected a one-dimensional null space "
+            "(is the graph strongly connected?)"
+        ) from None
+    v /= float(np.sum(np.abs(v)))
 
-    free = int(np.argmin(pivots))
-    v = np.zeros(n, dtype=np.float64)
-    v[free] = 1.0
-    for k in range(n - 1, -1, -1):
-        if k == free:
-            continue
-        s = float(u[k, k + 1 :] @ v[k + 1 :])
-        v[k] = -s / u[k, k]
-
-    v /= l1_norm(v)
-    for entry in v:
-        if entry != 0.0:
-            if entry < 0.0:
-                v = -v
-            break
-
+    # written as `not <=` / `not >` so that a nan solution fails them too
     residual = float(np.max(np.abs(original @ v)))
-    if residual > _RESIDUAL_RTOL * scale * float(np.max(np.abs(v))):
+    if not residual <= _RESIDUAL_RTOL * matrix_inf_norm(original) * float(np.max(np.abs(v))):
         raise NullSpaceError(
             f"null vector residual {residual:.3e} exceeds tolerance; matrix may be ill-conditioned"
         )
-    if float(v.min()) <= 0.0:
+    if not float(v.min()) > 0.0:
         raise NullSpaceError(
             "null vector is not entrywise positive; hypothesis violation or upstream fault"
         )

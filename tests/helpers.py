@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's own computation routes:
 reachability goes through a transitive-closure sweep instead of graph
 search, Laplacians are assembled in integer arithmetic from the edge set,
 iteration matrices are assembled as a whole-matrix expression instead of
-entrywise ratios, and consensus values come from long plain matrix-vector
-products.
+entrywise ratios, stationary vectors come from a hand-written elimination on
+the row-rescaled Laplacian instead of a LAPACK solve on the integer one, and
+consensus values come from long plain matrix-vector products.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 
 from consensim.engine import WeightedSystem, build_system, epsilon_bound
 from consensim.graph import Digraph, is_strongly_connected
+from consensim.linalg import NullSpaceError
+
+_PIVOT_RTOL = 1e-10
+_RESIDUAL_RTOL = 1e-10
 
 
 def all_ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -140,3 +145,64 @@ def dyadic_epsilon(system: WeightedSystem, factor: float = 0.9) -> float:
     eps = k / 65536.0
     assert eps < bound
     return eps
+
+
+def elimination_null_vector(m: np.ndarray) -> np.ndarray:
+    """Unit-l1 positive null vector of m by Gaussian elimination with partial pivoting.
+
+    The column of the single numerically negligible pivot becomes the free
+    variable and back substitution fills in the rest.  Raises NullSpaceError
+    when the number of negligible pivots is not exactly one, when the
+    residual ||m v||_inf exceeds 1e-10 * ||m||_inf * ||v||_inf, or when the
+    result is not entrywise positive.
+    """
+    original = np.asarray(m, dtype=np.float64)
+    n = original.shape[0]
+    u = original.copy()
+    scale = float(np.max(np.sum(np.abs(original), axis=1)))
+    pivot_tol = _PIVOT_RTOL * scale
+
+    pivots = np.empty(n, dtype=np.float64)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(u[k:, k])))
+        if p != k:
+            u[[k, p], :] = u[[p, k], :]
+        pivots[k] = abs(u[k, k])
+        if u[k, k] != 0.0 and k + 1 < n:
+            factors = u[k + 1 :, k] / u[k, k]
+            u[k + 1 :, k:] -= np.outer(factors, u[k, k:])
+            u[k + 1 :, k] = 0.0
+
+    negligible = int(np.sum(pivots <= pivot_tol))
+    if negligible == 0:
+        raise NullSpaceError(
+            "matrix is numerically nonsingular; expected a one-dimensional null space"
+        )
+    if negligible > 1:
+        raise NullSpaceError(
+            f"null space dimension at least {negligible}; "
+            "expected exactly one (is the graph strongly connected?)"
+        )
+
+    free = int(np.argmin(pivots))
+    v = np.zeros(n, dtype=np.float64)
+    v[free] = 1.0
+    for k in range(n - 1, -1, -1):
+        if k == free:
+            continue
+        s = float(u[k, k + 1 :] @ v[k + 1 :])
+        v[k] = -s / u[k, k]
+
+    v /= float(np.sum(np.abs(v)))
+    for entry in v:
+        if entry != 0.0:
+            if entry < 0.0:
+                v = -v
+            break
+
+    residual = float(np.max(np.abs(original @ v)))
+    if residual > _RESIDUAL_RTOL * scale * float(np.max(np.abs(v))):
+        raise NullSpaceError(f"null vector residual {residual:.3e} exceeds tolerance")
+    if float(v.min()) <= 0.0:
+        raise NullSpaceError("null vector is not entrywise positive")
+    return v

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import consensim.cli as cli
@@ -89,6 +90,17 @@ class TestCheck:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_certified_cycle_with_weight_spread_1e10(self, tmp_path, capsys):
+        # a certified configuration must never be rejected by the numerics of v
+        n = 50
+        g = write(tmp_path, "cycle.txt", "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        w = write(tmp_path, "w.txt", "".join(f"{float(x)!r}\n" for x in np.logspace(0, 10, n)))
+        rc = main(["check", "--graph", str(g), "--weights", str(w)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "certified: true" in out
+        assert "hypotheses: ok" in out
+
     def test_undirected_graph_reported(self, tmp_path, capsys):
         g = write(tmp_path, "pair.txt", "0 1\n1 0\n")
         rc = main(["check", "--graph", str(g)])
@@ -128,6 +140,17 @@ class TestRun:
         assert float(first[3]) == 6.0
         last = lines[-1].split(",")
         assert int(last[0]) == summary["steps_run"]
+
+    def test_edgeless_graph_summary_is_strict_json(self, tmp_path):
+        g = write(tmp_path, "one.txt", "nodes 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--graph", str(g), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["epsilon_bound"] is None
 
     def test_predicted_alpha_round_trips_exactly(self, tmp_path, triangle):
         w = write(tmp_path, "w.txt", "1\n2\n3\n")

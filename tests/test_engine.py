@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import consensim.engine as engine
 from consensim.engine import (
     HypothesisViolation,
     build_iteration_matrix,
@@ -17,12 +18,12 @@ from consensim.engine import (
     undirected_alpha,
 )
 from consensim.graph import Digraph, parse_edge_list
-from consensim.linalg import null_vector
 
 from helpers import (
     brute_force_iterate,
     dyadic_epsilon,
     dyadic_weights,
+    elimination_null_vector,
     iteration_matrix_oracle,
     laplacian,
     random_digraph,
@@ -53,6 +54,7 @@ class TestBuildSystem:
             system = random_system(rng, n_hi=15, require_strong=False)
             expected = laplacian(system.graph) / system.w[:, None]
             assert system.lap_w.tobytes() == expected.tobytes()
+            assert system.lap.tobytes() == laplacian(system.graph).tobytes()
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -75,6 +77,47 @@ class TestBuildSystem:
         system = build_system(g, np.ones(3))
         assert system.listeners.tolist() == [0, 0, 1, 2]
         assert system.sources.tolist() == [1, 2, 0, 0]
+
+
+class TestStationaryVector:
+    def test_solved_on_the_integer_laplacian(self, monkeypatch):
+        seen = []
+        null_vector = engine.null_vector
+
+        def recording_null_vector(m):
+            seen.append(np.array(m))
+            return null_vector(m)
+
+        monkeypatch.setattr(engine, "null_vector", recording_null_vector)
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        assert system.v is not None
+        assert len(seen) == 1
+        assert seen[0].tobytes() == laplacian(THREE_CYCLE).T.tobytes()
+
+    def test_directed_cycle_with_weight_spread_1e10(self):
+        n = 50
+        g = Digraph(n=n, edges=frozenset((i, (i + 1) % n) for i in range(n)))
+        w = np.logspace(0, 10, n)
+        system = build_system(g, w)
+        assert certify(system, default_epsilon(system)) == []
+        np.testing.assert_allclose(system.v, w / w.sum(), rtol=1e-12, atol=0)
+
+    def test_undirected_graphs_give_the_normalized_weights(self):
+        # the paper's undirected corollary: v = w / sum(w), over a weight
+        # spread of 1e10
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            g = random_undirected_digraph(rng)
+            w = 10.0 ** rng.uniform(-5.0, 5.0, g.n)
+            system = build_system(g, w)
+            np.testing.assert_allclose(system.v, w / w.sum(), rtol=1e-12, atol=0)
+
+    def test_agrees_with_the_elimination_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            system = random_system(rng)
+            oracle = elimination_null_vector(system.lap_w.T)
+            np.testing.assert_allclose(system.v, oracle, rtol=1e-12, atol=0)
 
 
 class TestEpsilonBound:
@@ -402,9 +445,10 @@ class TestLimitMatrix:
     def test_rows_equal_stationary_direction(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
         t = limit_matrix(system, 0.5)
-        v = null_vector(system.lap_w.T)
+        oracle = elimination_null_vector(system.lap_w.T)
         for row in t:
-            np.testing.assert_array_equal(row, v)
+            assert row.tobytes() == system.v.tobytes()
+            np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0)
 
     def test_fixed_point_of_iteration(self):
         rng = np.random.default_rng(61)

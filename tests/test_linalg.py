@@ -11,7 +11,7 @@ from consensim.linalg import (
     power_iteration,
 )
 
-from helpers import random_digraph, random_weights
+from helpers import elimination_null_vector, random_digraph, random_weights
 
 
 class TestBasics:
@@ -43,15 +43,16 @@ class TestNullVector:
         np.testing.assert_array_equal(null_vector(np.zeros((1, 1))), [1.0])
 
     def test_rejects_nonsingular_matrix(self):
-        with pytest.raises(NullSpaceError, match="nonsingular"):
+        # the bordered system is solvable, but its solution is no null vector
+        with pytest.raises(NullSpaceError, match="residual"):
             null_vector(np.eye(3))
 
     def test_rejects_null_space_dimension_two(self):
         # Laplacian of two disconnected symmetric pairs: each component
-        # contributes a null direction
+        # contributes a null direction, so the bordered system is singular
         g = parse_edge_list("0 1\n1 0\n2 3\n3 2\n")
         system = build_system(g, np.ones(4))
-        with pytest.raises(NullSpaceError, match="at least 2"):
+        with pytest.raises(NullSpaceError, match="singular"):
             null_vector(system.lap_w.T)
 
     def test_random_systems_positive_normalized_small_residual(self):
@@ -110,7 +111,7 @@ class TestPowerIteration:
 
     def test_agrees_with_elimination_on_weighted_systems(self):
         # dual route: the dominant left direction of the iteration matrix is
-        # the same vector the elimination extracts
+        # the same vector the direct solve extracts
         rng = np.random.default_rng(2024)
         for _ in range(40):
             g = random_digraph(rng, n_hi=10, dens_lo=0.4)
@@ -123,3 +124,18 @@ class TestPowerIteration:
             assert res.converged
             assert abs(res.value - 1.0) < 1e-10
             assert l1_norm(res.vector - v) < 1e-8
+
+
+class TestEliminationOracle:
+    # the hand-written elimination kept in the test helpers as an oracle for v
+    def test_rejects_nonsingular_matrix(self):
+        with pytest.raises(NullSpaceError, match="nonsingular"):
+            elimination_null_vector(np.eye(3))
+
+    def test_rejects_null_space_dimension_two(self):
+        # Laplacian of two disconnected symmetric pairs: each component
+        # contributes a null direction
+        g = parse_edge_list("0 1\n1 0\n2 3\n3 2\n")
+        system = build_system(g, np.ones(4))
+        with pytest.raises(NullSpaceError, match="at least 2"):
+            elimination_null_vector(system.lap_w.T)
