@@ -250,28 +250,27 @@ def _write_trace_csv(path: Path, trace: RunTrace, n: int) -> None:
 
 
 def _opt_float(value: float) -> float | None:
+    # nan and inf have no JSON spelling; README writes unavailable values as null
     f = float(value)
-    return None if math.isnan(f) else f
+    return f if math.isfinite(f) else None
 
 
 def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str) -> dict:
     v = system.v
-    bound = epsilon_bound(system)
     data: dict = {
         "n": system.n,
         "m": system.graph.m,
         "strongly_connected": system.strongly_connected,
         "undirected": system.undirected,
         "epsilon": float(eps),
-        # +inf (no edges) has no JSON spelling; README writes unavailable values as null
-        "epsilon_bound": bound if math.isfinite(bound) else None,
+        "epsilon_bound": _opt_float(epsilon_bound(system)),
         "certified": not certify(system, eps),
         "predicted_alpha": _opt_float(trace.predicted_alpha),
         "v": [float(x) for x in v] if v is not None else None,
     }
     if system.n <= _MAX_INLINE_STATE:
-        data["final_state"] = [float(x) for x in trace.final_state]
-    data["final_disagreement"] = float(trace.final_disagreement)
+        data["final_state"] = [_opt_float(x) for x in trace.final_state]
+    data["final_disagreement"] = _opt_float(trace.final_disagreement)
     data["conserved_drift"] = _opt_float(trace.conserved_drift)
     data["converged_at"] = trace.converged_at
     data["steps_run"] = trace.steps_run
@@ -323,7 +322,13 @@ def cmd_run(args) -> int:
     print(f"wrote: {trace_path}")
     print(f"wrote: {summary_path}")
     if not converged:
-        print(f"did not converge within {config.max_steps} steps", file=sys.stderr)
+        if not math.isfinite(trace.final_disagreement):
+            print(
+                f"state diverged at step {trace.steps_run}: disagreement is not finite",
+                file=sys.stderr,
+            )
+        else:
+            print(f"did not converge within {config.max_steps} steps", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -170,6 +170,33 @@ def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> np.ndarray
     return p
 
 
+def transposed_iteration_operator(
+    system: WeightedSystem, epsilon: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The product x -> P^T x over the edge arrays, without the dense P.
+
+    (P^T x)_j = P_jj x_j + sum over edges i -> j of (eps / w_i) x_i, with
+    exactly the entries build_iteration_matrix writes: the ratio eps / w_i
+    off the diagonal and fl(1 - fl(ratio * d_j)) on it.  One np.bincount
+    per product makes it O(n + m); only the summation order differs from
+    the dense product.  Each call returns a new array.
+    """
+    eps = _step_size(epsilon)
+    ratios = eps / system.w
+    diagonal = 1.0 - ratios * system.d
+    listeners = system.listeners
+    sources = system.sources
+    n = system.n
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        scaled = ratios * x
+        y = np.bincount(sources, weights=scaled[listeners], minlength=n)
+        y += diagonal * x
+        return y
+
+    return apply
+
+
 @dataclass(frozen=True)
 class SpectralPrediction:
     """Closed-form prediction for a certified system.
@@ -177,7 +204,7 @@ class SpectralPrediction:
     v is the positive unit-l1 null vector of L_w^T (the conserved functional),
     alpha = v . x0 is the predicted consensus value, and rho_estimate is a
     power-iteration estimate of the spectral radius of P (1.0 up to numerics
-    for a certified system).
+    for a certified system), iterated on P^T over the edge arrays.
     """
 
     v: np.ndarray
@@ -190,7 +217,9 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
 
     Requires a strongly connected graph.  epsilon only affects the
     rho_estimate diagnostic; when omitted or not certified, the default
-    step size is used for that estimate.
+    step size is used for that estimate.  The diagnostic is a power
+    iteration with transposed_iteration_operator, O(n + m) per iteration;
+    no dense matrix is built.
     """
     x = as_vector(x0, system.n)
     v = system.v
@@ -201,9 +230,10 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     if not (0.0 < eps < bound):
         eps = default_epsilon(system)
-    p = build_iteration_matrix(system, eps)
     start = np.full(system.n, 1.0 / system.n)
-    pr = power_iteration(p.T, start, max_iter=_POWER_MAX_ITER, tol=_POWER_TOL)
+    pr = power_iteration(
+        transposed_iteration_operator(system, eps), start, max_iter=_POWER_MAX_ITER, tol=_POWER_TOL
+    )
     return SpectralPrediction(v=v, alpha=alpha, rho_estimate=pr.value)
 
 
@@ -261,9 +291,11 @@ class RunTrace:
     steps holds the recorded step indices (downsampled, always including 0
     and the final step); states, disagreement, and conserved are parallel to
     it.  converged_at is the first step whose disagreement dropped below the
-    tolerance, or None when the budget ran out first.  conserved_drift is
-    the spread of the conserved quantity over the recorded trace relative to
-    max|x0| (nan when the conserved functional is unavailable).
+    tolerance, or None when the budget ran out or the state diverged first;
+    a diverged run ends at the first step whose disagreement is not finite.
+    conserved_drift is the spread of the conserved quantity over every step
+    of the run, recorded or not, relative to max|x0| (nan when the conserved
+    functional is unavailable).
     """
 
     steps: list[int]
@@ -296,7 +328,8 @@ def run(
     stepper: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RunTrace:
     """Iterate the consensus update until the disagreement max(x) - min(x)
-    falls below tol or max_steps updates have been applied.
+    falls below tol, stops being finite, or max_steps updates have been
+    applied.
 
     Refuses to run an uncertified configuration (epsilon at or above the
     bound, or a graph that is not strongly connected) unless
@@ -347,6 +380,9 @@ def run(
         sampler.offer(k, x, dis, cons)
         if dis < tol:
             converged_at = k
+            break
+        if not math.isfinite(dis):
+            # diverged: no later step can bring the state back below tol
             break
         if k >= max_steps:
             break

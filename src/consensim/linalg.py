@@ -1,10 +1,12 @@
-"""Dense linear-algebra kernels: norms, null vectors, power iteration.
+"""Linear-algebra kernels: norms, null vectors, power iteration.
 
 Vectors and matrices are plain float64 numpy arrays.  The two nontrivial
 routines here form a deliberate dual route: :func:`null_vector` extracts the
 stationary direction with one bordered LAPACK solve, while
 :func:`power_iteration` estimates the same direction iteratively, so each
-can check the other.
+can check the other.  :func:`power_iteration` takes either a dense square
+matrix or a callable that applies the operator, so a sparse operator (such
+as the engine's edge-list product with P^T) never needs an n x n array.
 """
 
 from __future__ import annotations
@@ -117,16 +119,25 @@ class PowerIterationResult:
 
 
 def power_iteration(m, x0, max_iter: int = 10_000, tol: float = 1e-13) -> PowerIterationResult:
-    """Estimate the dominant eigenpair of m by repeated multiplication.
+    """Estimate the dominant eigenpair of an operator by repeated multiplication.
 
-    Iterates x <- m x / ||m x||_1 from x0 until the l1 distance between
-    successive iterates drops below tol or max_iter is reached.
-    Non-convergence is reported in the result, not raised: for the intended
-    inputs (primitive nonnegative matrices) it indicates a budget problem,
-    and for anything else it is itself informative.
+    m is a square matrix, validated as finite, or a callable that returns
+    m @ x as a new float64 array of x0's length; a result of another length
+    raises ValueError.  Iterates x <- m x / ||m x||_1 from x0 until the l1
+    distance between successive iterates drops below tol or max_iter is
+    reached.  A matrix and a callable applying it with ``m @ x`` give
+    bitwise the same result.  Non-convergence is reported in the result, not
+    raised: for the intended inputs (primitive nonnegative matrices) it
+    indicates a budget problem, and for anything else it is itself
+    informative.
     """
-    a = as_square_matrix(m)
-    x = as_vector(x0, a.shape[0]).copy()
+    if callable(m):
+        apply = m
+        x = as_vector(x0).copy()
+    else:
+        a = as_square_matrix(m)
+        apply = a.__matmul__
+        x = as_vector(x0, a.shape[0]).copy()
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if tol <= 0.0:
@@ -139,19 +150,23 @@ def power_iteration(m, x0, max_iter: int = 10_000, tol: float = 1e-13) -> PowerI
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = a @ x
-        ynorm = float(np.sum(np.abs(y)))
+        y = apply(x)
+        if y.shape != x.shape:
+            raise ValueError(f"operator returned shape {y.shape} for a vector of shape {x.shape}")
+        ynorm = float(np.abs(y).sum())
         if ynorm == 0.0:
             # x landed in the null space; the estimate below is still defined
             x = y
             break
         y /= ynorm
-        delta = float(np.sum(np.abs(y - x)))
+        # x is owned here, so it can hold |x - y| for the convergence test
+        x -= y
+        delta = float(np.abs(x, out=x).sum())
         x = y
         if delta < tol:
             converged = True
             break
 
     xx = float(x @ x)
-    value = float(x @ (a @ x)) / xx if xx > 0.0 else 0.0
+    value = float(x @ apply(x)) / xx if xx > 0.0 else 0.0
     return PowerIterationResult(value=value, vector=x, converged=converged, iterations=iterations)

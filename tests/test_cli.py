@@ -204,6 +204,32 @@ class TestRun:
         assert summary["steps_run"] == 3
         assert (out / "trace.csv").exists()
 
+    def test_diverged_run_stops_and_writes_strict_json(self, tmp_path, triangle, capsys):
+        # epsilon 5 is far above the bound 1: the state overflows to inf and
+        # then nan well before the budget, where disagreement can never
+        # fall below tol
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(
+                ["run", "--graph", str(triangle), "--epsilon", "5", "--allow-uncertified",
+                 "--max-steps", "2000", "--out", str(out)]
+            )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "diverged at step" in err
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["converged_at"] is None
+        assert summary["steps_run"] < 2000
+        assert f"diverged at step {summary['steps_run']}" in err
+        assert summary["final_disagreement"] is None
+        assert None in summary["final_state"]
+        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == summary["steps_run"]
+
     def test_modes_produce_identical_trace_bytes(self, tmp_path, triangle):
         w = write(tmp_path, "w.txt", "0.7\n2.5\n9.25\n")
         out_m = tmp_path / "m"
@@ -352,13 +378,13 @@ class TestCompare:
 
 class TestOneCertificationPerCommand:
     @pytest.mark.parametrize(
-        "command, dense_builds", [("check", 1), ("run", 0), ("compare", 0)]
+        "command, dense_builds", [("check", 0), ("run", 0), ("compare", 0)]
     )
     def test_graph_facts_computed_once(
         self, command, dense_builds, tmp_path, triangle, monkeypatch, capsys
     ):
         # v and strong connectivity depend on the graph and weights only, so a
-        # command computes each once; P is built only where predict reads it
+        # command computes each once; no command builds the dense P
         calls = {"is_strongly_connected": 0, "null_vector": 0, "build_iteration_matrix": 0}
         for name in calls:
             real = getattr(engine, name)

@@ -15,9 +15,11 @@ from consensim.engine import (
     matrix_stepper,
     predict,
     run,
+    transposed_iteration_operator,
     undirected_alpha,
 )
 from consensim.graph import Digraph, parse_edge_list
+from consensim.linalg import power_iteration
 
 from helpers import (
     brute_force_iterate,
@@ -34,6 +36,14 @@ from helpers import (
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
 SYMMETRIC_PAIR = parse_edge_list("0 1\n1 0\n")
+
+
+def operator_draws(count: int = 300):
+    """(system, default step size, signed x) triples from a fixed stream."""
+    rng = np.random.default_rng(61)
+    for _ in range(count):
+        system = random_system(rng)
+        yield system, default_epsilon(system), rng.uniform(-1.0, 1.0, system.n)
 
 
 class TestBuildSystem:
@@ -205,6 +215,36 @@ class TestBuildIterationMatrix:
                 certify(system, bad)
 
 
+class TestTransposedIterationOperator:
+    def test_unit_weight_three_cycle_half_step(self):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        y = transposed_iteration_operator(system, 0.5)(np.array([1.0, 2.0, 4.0]))
+        np.testing.assert_array_equal(y, [2.5, 1.5, 3.0])
+
+    def test_agrees_with_the_dense_transpose_within_a_few_ulps(self):
+        for system, eps, x in operator_draws():
+            pt = build_iteration_matrix(system, eps).T
+            y = transposed_iteration_operator(system, eps)(x)
+            # the entries and products are the same; only the summation order differs
+            scale = np.abs(pt) @ np.abs(x)
+            assert np.all(np.abs(y - pt @ x) <= 4 * np.spacing(scale))
+
+    def test_returns_a_new_array_and_leaves_x_alone(self):
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        apply = transposed_iteration_operator(system, 0.9)
+        x = np.array([1.0, -2.0, 0.5])
+        y = apply(x)
+        np.testing.assert_array_equal(x, [1.0, -2.0, 0.5])
+        assert not np.shares_memory(x, y)
+        assert apply(x) is not y
+
+    def test_rejects_bad_epsilon(self):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        for bad in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                transposed_iteration_operator(system, bad)
+
+
 class TestScaleInvariance:
     def test_joint_rescaling_is_bit_identical_on_dyadic_grids(self):
         # weights on k/256 and epsilon on k/65536 make the products with each
@@ -271,6 +311,16 @@ class TestPredict:
             pred = predict(system, x0)
             assert pred.alpha == pytest.approx(undirected_alpha(system, x0), abs=1e-10)
 
+    def test_rho_matches_the_dense_power_iteration(self):
+        for system, eps, x in operator_draws():
+            dense = power_iteration(
+                build_iteration_matrix(system, eps).T,
+                np.full(system.n, 1.0 / system.n),
+                max_iter=engine._POWER_MAX_ITER,
+                tol=engine._POWER_TOL,
+            )
+            assert abs(predict(system, x, eps).rho_estimate - dense.value) <= 1e-12
+
     def test_uncertified_epsilon_falls_back_for_rho(self):
         system = build_system(THREE_CYCLE, np.ones(3))
         pred = predict(system, [1.0, 2.0, 3.0], epsilon=5.0)
@@ -325,6 +375,24 @@ class TestRun:
         assert trace.converged_at is None
         assert trace.steps_run == 50
         assert trace.final_disagreement > 1.0
+
+    def test_diverged_run_stops_at_the_first_non_finite_disagreement(self):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(
+                system, [1.0, 2.0, 3.0], epsilon=5.0, max_steps=2000, override_uncertified=True
+            )
+        assert trace.converged_at is None
+        assert trace.steps_run < 2000
+        assert trace.steps[-1] == trace.steps_run
+        assert not math.isfinite(trace.final_disagreement)
+        # every earlier recorded step still had a finite disagreement
+        assert all(math.isfinite(d) for d in trace.disagreement[:-1])
+        x = np.array([1.0, 2.0, 3.0])
+        step = matrix_stepper(system, 5.0)
+        for _ in range(trace.steps_run - 1):
+            x = step(x)
+        assert math.isfinite(float(x.max() - x.min()))
 
     def test_override_on_disconnected_graph_reports_nan_diagnostics(self):
         g = parse_edge_list("0 1\n")
