@@ -8,10 +8,8 @@ agents; the matrix and agent paths are bit-identical by construction.
 
 from .agents import (
     Agent,
-    InProcessTransport,
     MessageProtocolError,
     RoundReport,
-    Transport,
     agent_stepper,
     build_agents,
     local_update,
@@ -61,14 +59,12 @@ __all__ = [
     "Digraph",
     "GraphFormatError",
     "HypothesisViolation",
-    "InProcessTransport",
     "MessageProtocolError",
     "NullSpaceError",
     "PowerIterationResult",
     "RoundReport",
     "RunTrace",
     "SpectralPrediction",
-    "Transport",
     "WeightedSystem",
     "agent_stepper",
     "build_agents",

@@ -1,17 +1,20 @@
 """Synchronous message-passing simulation of the per-node consensus update.
 
 Each agent owns its scalar state and updates it from received messages only;
-no agent reads another agent's fields.  A round is two-phase: every state is
-published first, then every agent computes and commits its update, so all
-updates within a round read the same committed snapshot.  Per-agent sums run
-over neighbors in ascending id order, matching the matrix engine's canonical
-edge order; the two paths therefore produce bit-identical trajectories.
+no agent reads another agent's fields.  A round publishes, then delivers:
+every committed state goes into one list, and each agent's inbox receives
+one message from that list per neighbor.  Every agent then computes its
+update from its inbox alone, and all updates are committed together, so all
+updates within a round read the same committed snapshot.  An agent's
+neighbors are its run of the system's edges in (listener, source) order, so
+per-agent sums run in ascending id order exactly as the matrix engine's do;
+the two paths therefore produce bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -54,27 +57,6 @@ def local_update(agent: Agent, epsilon: float) -> float:
     return agent.state + (epsilon / agent.weight) * total
 
 
-class Transport(Protocol):
-    """Message delivery seam; in-process delivery is the only shipped backend."""
-
-    def send(self, sender: int, receiver: int, value: float) -> None: ...
-
-    def collect(self, receiver: int) -> dict[int, float]: ...
-
-
-class InProcessTransport:
-    """Dict-backed mailbox delivery within one process."""
-
-    def __init__(self) -> None:
-        self._mail: dict[int, dict[int, float]] = {}
-
-    def send(self, sender: int, receiver: int, value: float) -> None:
-        self._mail.setdefault(receiver, {})[sender] = value
-
-    def collect(self, receiver: int) -> dict[int, float]:
-        return self._mail.pop(receiver, {})
-
-
 @dataclass(frozen=True)
 class RoundReport:
     """Snapshot after a round: index, committed states, messages sent."""
@@ -85,49 +67,34 @@ class RoundReport:
 
 
 def build_agents(system: WeightedSystem, x0) -> list[Agent]:
-    """Instantiate one agent per node with its weight, initial state, and neighbor list."""
+    """Instantiate one agent per node with its weight, initial state, and neighbor list.
+
+    Node i's neighbors are its run of system.sources, which build_system
+    sorts by (listener, source): the canonical ascending order is decided
+    there alone.
+    """
     x = as_vector(x0, system.n)
-    nbrs = system.graph.out_neighbors()
+    sources = system.sources.tolist()
+    ends = np.cumsum(system.d).tolist()
     return [
-        Agent(id=i, weight=float(system.w[i]), state=float(x[i]), neighbors=tuple(nbrs[i]))
-        for i in range(system.n)
+        Agent(id=i, weight=float(system.w[i]), state=float(x[i]), neighbors=tuple(sources[a:b]))
+        for i, (a, b) in enumerate(zip([0, *ends], ends))
     ]
 
 
-def _listener_map(agents: list[Agent]) -> list[list[int]]:
-    # listeners[j] = agents that want j's state each round
-    listeners: list[list[int]] = [[] for _ in agents]
-    for a in agents:
-        for j in a.neighbors:
-            listeners[j].append(a.id)
-    return listeners
-
-
-def step_round(
-    agents: list[Agent],
-    epsilon: float,
-    transport: Transport | None = None,
-    listeners: list[list[int]] | None = None,
-) -> int:
+def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
-    Phase one publishes every agent's committed state to the agents listening
-    to it; phase two computes every update from the delivered inboxes and only
-    then commits all of them.
+    Phase one publishes every agent's committed state and delivers one
+    message per entry of each agent's neighbors tuple into its inbox; phase
+    two computes every update from the inboxes alone and only then commits
+    all of them.
     """
-    if transport is None:
-        transport = InProcessTransport()
-    if listeners is None:
-        listeners = _listener_map(agents)
-
+    published = [a.state for a in agents]
     sent = 0
     for a in agents:
-        for receiver in listeners[a.id]:
-            transport.send(a.id, receiver, a.state)
-            sent += 1
-
-    for a in agents:
-        a.inbox = transport.collect(a.id)
+        a.inbox = {j: published[j] for j in a.neighbors}
+        sent += len(a.neighbors)
         if len(a.inbox) != len(a.neighbors):
             raise MessageProtocolError(
                 f"agent {a.id} received {len(a.inbox)} messages, expected {len(a.neighbors)}"
@@ -139,12 +106,7 @@ def step_round(
     return sent
 
 
-def run_rounds(
-    agents: list[Agent],
-    epsilon: float,
-    rounds: int,
-    transport: Transport | None = None,
-) -> list[RoundReport]:
+def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundReport]:
     """Drive the network for a number of rounds, reporting after each.
 
     The report list starts with round 0 (the initial states, no messages);
@@ -152,12 +114,9 @@ def run_rounds(
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    if transport is None:
-        transport = InProcessTransport()
-    listeners = _listener_map(agents)
     reports = [RoundReport(round=0, states=tuple(a.state for a in agents), messages_sent=0)]
     for r in range(1, rounds + 1):
-        sent = step_round(agents, epsilon, transport, listeners)
+        sent = step_round(agents, epsilon)
         reports.append(
             RoundReport(round=r, states=tuple(a.state for a in agents), messages_sent=sent)
         )
@@ -165,10 +124,7 @@ def run_rounds(
 
 
 def agent_stepper(
-    system: WeightedSystem,
-    x0,
-    epsilon: float,
-    transport: Transport | None = None,
+    system: WeightedSystem, x0, epsilon: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Stepper backed by the agent network, for engine.run(..., stepper=...).
 
@@ -180,9 +136,6 @@ def agent_stepper(
     silently desynchronizing the two views.
     """
     agents = build_agents(system, x0)
-    if transport is None:
-        transport = InProcessTransport()
-    listeners = _listener_map(agents)
     # kept as bytes so a caller mutating a returned array cannot alter it
     committed = np.array([a.state for a in agents], dtype=np.float64).tobytes()
 
@@ -199,7 +152,7 @@ def agent_stepper(
                 f"stepper fed a state that differs from the agents' committed states "
                 f"at node {node}"
             )
-        step_round(agents, epsilon, transport, listeners)
+        step_round(agents, epsilon)
         snapshot = np.array([a.state for a in agents], dtype=np.float64)
         committed = snapshot.tobytes()
         return snapshot

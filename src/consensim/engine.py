@@ -295,7 +295,7 @@ class RunTrace:
     a diverged run ends at the first step whose disagreement is not finite.
     conserved_drift is the spread of the conserved quantity over every step
     of the run, recorded or not, relative to max|x0| (nan when the conserved
-    functional is unavailable).
+    functional is unavailable or a conserved value is not finite).
     """
 
     steps: list[int]
@@ -369,28 +369,34 @@ def run(
     cons_max = -math.inf
     converged_at: int | None = None
     k = 0
-    while True:
-        dis = float(x.max() - x.min())
-        if v is not None:
-            cons = float(v @ x)
-            cons_min = min(cons_min, cons)
-            cons_max = max(cons_max, cons)
-        else:
-            cons = math.nan
-        sampler.offer(k, x, dis, cons)
-        if dis < tol:
-            converged_at = k
-            break
-        if not math.isfinite(dis):
-            # diverged: no later step can bring the state back below tol
-            break
-        if k >= max_steps:
-            break
-        x = stepper(x)
-        k += 1
+    # an uncertified run may overflow; the loop detects that itself, so
+    # numpy's overflow and invalid-value warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            dis = float(x.max() - x.min())
+            if v is not None:
+                cons = float(v @ x)
+                cons_min = min(cons_min, cons)
+                cons_max = max(cons_max, cons)
+            else:
+                cons = math.nan
+            sampler.offer(k, x, dis, cons)
+            if dis < tol:
+                converged_at = k
+                break
+            if not math.isfinite(dis):
+                # diverged: no later step can bring the state back below tol
+                break
+            if k >= max_steps:
+                break
+            x = stepper(x)
+            k += 1
     sampler.finish(k, x, dis, cons)
 
-    drift = (cons_max - cons_min) / drift_denom if v is not None else math.nan
+    # min/max skip nan, so a non-finite conserved value must void the drift;
+    # only the last one can be, since a non-finite v . x means a non-finite
+    # state, whose disagreement ends the loop
+    drift = (cons_max - cons_min) / drift_denom if math.isfinite(cons) else math.nan
     return RunTrace(
         steps=[row[0] for row in sampler.rows],
         states=[row[1] for row in sampler.rows],

@@ -39,15 +39,6 @@ class Digraph:
         """Number of directed edges."""
         return len(self.edges)
 
-    def out_neighbors(self) -> list[list[int]]:
-        """Adjacency lists in ascending id order; entry i lists the nodes i listens to."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
-
 
 def _int_token(token: str, lineno: int) -> int:
     # only plain nonnegative decimals; rejects signs, underscores, unicode digits

@@ -3,7 +3,6 @@ import pytest
 
 from consensim.agents import (
     Agent,
-    InProcessTransport,
     MessageProtocolError,
     agent_stepper,
     build_agents,
@@ -52,20 +51,6 @@ class TestLocalUpdate:
         a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox={1: 2.0})
         local_update(a, 0.5)
         assert a.state == 0.0
-
-
-class TestTransport:
-    def test_collect_returns_messages_by_sender(self):
-        t = InProcessTransport()
-        t.send(1, 0, 3.5)
-        t.send(2, 0, -1.0)
-        assert t.collect(0) == {1: 3.5, 2: -1.0}
-
-    def test_collect_drains_the_mailbox(self):
-        t = InProcessTransport()
-        t.send(1, 0, 3.5)
-        assert t.collect(0) == {1: 3.5}
-        assert t.collect(0) == {}
 
 
 class TestRounds:
@@ -173,6 +158,13 @@ class TestBuildAgents:
         agents = build_agents(system, [1.0, 2.0, 3.0])
         assert agents[0].neighbors == (1, 2)
         assert agents[1].neighbors == (0,)
+        assert all(type(j) is int for a in agents for j in a.neighbors)
+
+    def test_node_without_out_edges_has_no_neighbors(self):
+        g = parse_edge_list("nodes 4\n0 3\n2 0\n0 1\n")
+        system = build_system(g, np.ones(4))
+        agents = build_agents(system, np.zeros(4))
+        assert [a.neighbors for a in agents] == [(1, 3), (), (0,), ()]
 
     def test_states_and_weights_copied_per_agent(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])

@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensim.agents as agents
 import consensim.cli as cli
 import consensim.engine as engine
-from consensim.agents import InProcessTransport
 from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
@@ -209,11 +210,10 @@ class TestRun:
         # then nan well before the budget, where disagreement can never
         # fall below tol
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(
-                ["run", "--graph", str(triangle), "--epsilon", "5", "--allow-uncertified",
-                 "--max-steps", "2000", "--out", str(out)]
-            )
+        rc = main(
+            ["run", "--graph", str(triangle), "--epsilon", "5", "--allow-uncertified",
+             "--max-steps", "2000", "--out", str(out)]
+        )
         assert rc == 3
         err = capsys.readouterr().err
         assert "diverged at step" in err
@@ -226,9 +226,25 @@ class TestRun:
         assert summary["steps_run"] < 2000
         assert f"diverged at step {summary['steps_run']}" in err
         assert summary["final_disagreement"] is None
+        assert summary["conserved_drift"] is None
         assert None in summary["final_state"]
         last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
         assert int(last[0]) == summary["steps_run"]
+
+    def test_diverged_run_raises_no_numpy_warning(self, tmp_path, triangle, capsys):
+        # the run loop detects divergence itself, so numpy's overflow and
+        # invalid-value warnings on the way there are noise ahead of its message
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["run", "--graph", str(triangle), "--epsilon", "5", "--allow-uncertified",
+                 "--out", str(out)]
+            )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert "diverged at step" in err
 
     def test_modes_produce_identical_trace_bytes(self, tmp_path, triangle):
         w = write(tmp_path, "w.txt", "0.7\n2.5\n9.25\n")
@@ -344,24 +360,19 @@ class TestCompare:
     def test_perturbed_agent_detected_with_step_and_node(
         self, tmp_path, triangle, capsys, monkeypatch
     ):
-        real = cli.agent_stepper
+        real = agents.local_update
+        updates = 0
 
-        class CorruptingTransport(InProcessTransport):
-            # corrupts the message node 1 receives in round 5
-            rounds = 0
+        def perturbed(agent, epsilon):
+            # corrupts node 1's inbox on that agent's 5th update
+            nonlocal updates
+            if agent.id == 1:
+                updates += 1
+                if updates == 5:
+                    agent.inbox = {j: x + 1e-9 for j, x in agent.inbox.items()}
+            return real(agent, epsilon)
 
-            def collect(self, receiver):
-                inbox = super().collect(receiver)
-                if receiver == 1:
-                    self.rounds += 1
-                    if self.rounds == 5:
-                        inbox = {j: x + 1e-9 for j, x in inbox.items()}
-                return inbox
-
-        def perturbed(system, x0, epsilon, transport=None):
-            return real(system, x0, epsilon, CorruptingTransport())
-
-        monkeypatch.setattr(cli, "agent_stepper", perturbed)
+        monkeypatch.setattr(agents, "local_update", perturbed)
         rc = main(["compare", "--graph", str(triangle), "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 4

@@ -378,10 +378,9 @@ class TestRun:
 
     def test_diverged_run_stops_at_the_first_non_finite_disagreement(self):
         system = build_system(THREE_CYCLE, np.ones(3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = run(
-                system, [1.0, 2.0, 3.0], epsilon=5.0, max_steps=2000, override_uncertified=True
-            )
+        trace = run(
+            system, [1.0, 2.0, 3.0], epsilon=5.0, max_steps=2000, override_uncertified=True
+        )
         assert trace.converged_at is None
         assert trace.steps_run < 2000
         assert trace.steps[-1] == trace.steps_run
@@ -393,6 +392,15 @@ class TestRun:
         for _ in range(trace.steps_run - 1):
             x = step(x)
         assert math.isfinite(float(x.max() - x.min()))
+
+    def test_diverged_run_reports_nan_conserved_drift(self):
+        # min/max skip a nan v . x; the spread of the finite prefix is no drift
+        system = build_system(THREE_CYCLE, np.ones(3))
+        trace = run(
+            system, [1.0, 2.0, 3.0], epsilon=5.0, max_steps=2000, override_uncertified=True
+        )
+        assert not math.isfinite(trace.conserved[-1])
+        assert math.isnan(trace.conserved_drift)
 
     def test_override_on_disconnected_graph_reports_nan_diagnostics(self):
         g = parse_edge_list("0 1\n")

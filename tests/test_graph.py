@@ -36,9 +36,6 @@ class TestDigraph:
         g = Digraph(n=1, edges=frozenset())
         assert g.n == 1 and g.m == 0
 
-    def test_out_neighbors_sorted_ascending(self):
-        g = Digraph(n=4, edges=frozenset({(0, 3), (0, 1), (0, 2), (2, 0)}))
-        assert g.out_neighbors() == [[1, 2, 3], [], [0], []]
 
 
 class TestParseEdgeList:

@@ -15,10 +15,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from consensim.agents import agent_stepper  # noqa: E402
 from consensim.engine import (  # noqa: E402
     build_system,
     certify,
     epsilon_bound,
+    matrix_stepper,
     transposed_iteration_operator,
 )
 from consensim.graph import Digraph  # noqa: E402
@@ -63,3 +65,23 @@ def test_transposed_operator_is_column_stochastic(config, data):
     # terms are nonnegative, so the error is a small multiple of sum(x)
     slack = (n + system.graph.m + 4) * np.finfo(np.float64).eps * float(x.sum())
     assert abs(float(y.sum()) - float(x.sum())) <= slack
+
+
+LOCKSTEP_ROUNDS = 50
+
+
+@PROPERTY_SETTINGS
+@given(config=certified_configurations(), data=st.data())
+def test_agent_and_matrix_steppers_agree_bitwise(config, data):
+    # both sum each node's neighbors in the same ascending order with the
+    # same ratio eps / w_i, so every round's states match bit for bit
+    system, eps = config
+    n = system.n
+    x0 = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    agents = agent_stepper(system, x0, eps)
+    matrix = matrix_stepper(system, eps)
+    x = y = x0
+    for r in range(1, LOCKSTEP_ROUNDS + 1):
+        x = agents(x)
+        y = matrix(y)
+        assert x.tobytes() == y.tobytes(), f"round {r}"
