@@ -61,8 +61,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max-steps must be at least 1")
         if self.snapshot_limit < 2:

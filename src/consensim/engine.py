@@ -26,6 +26,11 @@ DEFAULT_SNAPSHOT_LIMIT = 1000
 # step size used when the bound is infinite (graph without edges)
 FALLBACK_EPSILON = 1.0
 
+# run steps into a buffer of at most this many rows, and at most this many
+# floats (256 KiB), doubling the rows per block from 1
+_BLOCK_ROWS = 256
+_BLOCK_FLOATS = 32768
+
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 20_000
 
@@ -263,6 +268,7 @@ class _SnapshotSampler:
     Records every stride-th step; when the buffer would exceed the limit the
     stride doubles and already-recorded rows are rethinned, so the kept steps
     are always the multiples of a single power of two plus the final step.
+    Recorded states are kept as given, not copied.
     """
 
     def __init__(self, limit: int):
@@ -270,10 +276,13 @@ class _SnapshotSampler:
         self.stride = 1
         self.rows: list[tuple[int, np.ndarray, float, float]] = []
 
+    def due(self, step: int) -> int:
+        """The first step at or after step that lies on the stride."""
+        return -(-step // self.stride) * self.stride
+
     def offer(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
-        if step % self.stride:
-            return
-        self.rows.append((step, x.copy(), dis, cons))
+        """Record a step that due() returned."""
+        self.rows.append((step, x, dis, cons))
         while len(self.rows) > self.limit - 1:
             self.stride *= 2
             self.rows = [row for row in self.rows if row[0] % self.stride == 0]
@@ -281,7 +290,7 @@ class _SnapshotSampler:
     def finish(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
         if self.rows and self.rows[-1][0] == step:
             return
-        self.rows.append((step, x.copy(), dis, cons))
+        self.rows.append((step, x, dis, cons))
 
 
 @dataclass(frozen=True)
@@ -295,7 +304,10 @@ class RunTrace:
     a diverged run ends at the first step whose disagreement is not finite.
     conserved_drift is the spread of the conserved quantity over every step
     of the run, recorded or not, relative to max|x0| (nan when the conserved
-    functional is unavailable or a conserved value is not finite).
+    functional is unavailable or a conserved value is not finite).  The
+    drift's extremes come from one matrix-vector product per block of
+    steps, so they can differ from a per-step v . x in the last bits; each
+    recorded conserved value is the per-step v . x of its state.
     """
 
     steps: list[int]
@@ -339,13 +351,18 @@ def run(
     are nan.
 
     stepper replaces the built-in matrix update with any callable mapping a
-    state vector to the next state; the run loop, stopping rule, and trace
-    recording are unchanged, which is how the message-passing simulator is
-    driven through the identical reporting path.
+    state vector to the next state; the stopping rule and trace recording
+    are unchanged, which is how the message-passing simulator is driven
+    through the identical reporting path.  A caller's stepper is called
+    exactly once per step, each time with the state it last returned, and
+    every state it returns is checked against the stopping rule before the
+    next call.  The built-in stepper is pure, so states are stepped in
+    blocks and checked per block; the steps a block takes past the stopping
+    step are discarded.
     """
     x = as_vector(x0, system.n).copy()
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
@@ -358,6 +375,7 @@ def run(
     v = system.v
     alpha = float(v @ x) if v is not None else math.nan
 
+    check_each_step = stepper is not None
     if stepper is None:
         stepper = matrix_stepper(system, eps)
 
@@ -367,44 +385,59 @@ def run(
     sampler = _SnapshotSampler(snapshot_limit)
     cons_min = math.inf
     cons_max = -math.inf
-    converged_at: int | None = None
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // max(system.n, 1))), system.n))
+    buf[0] = x
+    # the block is buf[:size], holding steps k .. k + size - 1
     k = 0
+    size = 1
     # an uncertified run may overflow; the loop detects that itself, so
     # numpy's overflow and invalid-value warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            dis = float(x.max() - x.min())
+            blk = buf[:size]
+            dis = blk.max(axis=1) - blk.min(axis=1)
+            # converged, or diverged: no later step can bring the state back below tol
+            stops = np.flatnonzero((dis < tol) | ~np.isfinite(dis))
+            last = int(stops[0]) if stops.size else size - 1
             if v is not None:
-                cons = float(v @ x)
-                cons_min = min(cons_min, cons)
-                cons_max = max(cons_max, cons)
-            else:
-                cons = math.nan
-            sampler.offer(k, x, dis, cons)
-            if dis < tol:
-                converged_at = k
+                # fmin/fmax skip nan as the Python min/max below do
+                cons = blk[: last + 1] @ v
+                cons_min = min(cons_min, float(np.fmin.reduce(cons)))
+                cons_max = max(cons_max, float(np.fmax.reduce(cons)))
+            step = sampler.due(k)
+            while step <= k + last:
+                state = blk[step - k].copy()
+                state_cons = float(v @ state) if v is not None else math.nan
+                sampler.offer(step, state, float(dis[step - k]), state_cons)
+                step = sampler.due(step + 1)
+            if stops.size or k + last == max_steps:
                 break
-            if not math.isfinite(dis):
-                # diverged: no later step can bring the state back below tol
-                break
-            if k >= max_steps:
-                break
-            x = stepper(x)
-            k += 1
-    sampler.finish(k, x, dis, cons)
+            k += size
+            size = min(2 * size, len(buf), max_steps - k + 1)
+            for i in range(size):
+                x = stepper(x)
+                buf[i] = x
+                # the block's test on the same row, made before the next call
+                if check_each_step and not (tol <= buf[i].max() - buf[i].min() < math.inf):
+                    size = i + 1
+                    break
+        final = blk[last].copy()
+        final_cons = float(v @ final) if v is not None else math.nan
+    final_dis = float(dis[last])
+    sampler.finish(k + last, final, final_dis, final_cons)
 
-    # min/max skip nan, so a non-finite conserved value must void the drift;
-    # only the last one can be, since a non-finite v . x means a non-finite
-    # state, whose disagreement ends the loop
-    drift = (cons_max - cons_min) / drift_denom if math.isfinite(cons) else math.nan
+    # a non-finite conserved value voids the drift; only the last one can
+    # be, since a non-finite v . x means a non-finite state, whose
+    # disagreement ends the loop
+    drift = (cons_max - cons_min) / drift_denom if math.isfinite(final_cons) else math.nan
     return RunTrace(
         steps=[row[0] for row in sampler.rows],
         states=[row[1] for row in sampler.rows],
         disagreement=[row[2] for row in sampler.rows],
         conserved=[row[3] for row in sampler.rows],
         predicted_alpha=alpha,
-        converged_at=converged_at,
-        steps_run=k,
+        converged_at=k + last if final_dis < tol else None,
+        steps_run=k + last,
         conserved_drift=drift,
     )
 

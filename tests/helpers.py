@@ -6,16 +6,31 @@ search, Laplacians are assembled in integer arithmetic from the edge set,
 iteration matrices are assembled as a whole-matrix expression instead of
 entrywise ratios, stationary vectors come from a hand-written elimination on
 the row-rescaled Laplacian instead of a LAPACK solve on the integer one, and
-consensus values come from long plain matrix-vector products.
+consensus values come from long plain matrix-vector products.  The run
+loop's oracle is the engine's original one-step-at-a-time loop, kept here as
+it was.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
-from consensim.engine import WeightedSystem, build_system, epsilon_bound
+from consensim.engine import (
+    DEFAULT_MAX_STEPS,
+    DEFAULT_SNAPSHOT_LIMIT,
+    DEFAULT_TOL,
+    RunTrace,
+    WeightedSystem,
+    build_system,
+    default_epsilon,
+    epsilon_bound,
+    matrix_stepper,
+)
 from consensim.graph import Digraph, is_strongly_connected
-from consensim.linalg import NullSpaceError
+from consensim.linalg import NullSpaceError, as_vector
 
 _PIVOT_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
@@ -206,3 +221,108 @@ def elimination_null_vector(m: np.ndarray) -> np.ndarray:
     if float(v.min()) <= 0.0:
         raise NullSpaceError("null vector is not entrywise positive")
     return v
+
+
+def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
+    """The recorded rows, stopping step and step count agree bit for bit."""
+    assert trace.steps == ref.steps
+    assert [x.tobytes() for x in trace.states] == [x.tobytes() for x in ref.states]
+    assert np.array(trace.disagreement).tobytes() == np.array(ref.disagreement).tobytes()
+    assert np.array(trace.conserved).tobytes() == np.array(ref.conserved).tobytes()
+    assert trace.converged_at == ref.converged_at
+    assert trace.steps_run == ref.steps_run
+
+
+class _ReferenceSampler:
+    """Stride-doubling trace thinning, offered every step of the run."""
+
+    def __init__(self, limit: int):
+        self.limit = max(2, int(limit))
+        self.stride = 1
+        self.rows: list[tuple[int, np.ndarray, float, float]] = []
+
+    def offer(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
+        if step % self.stride:
+            return
+        self.rows.append((step, x.copy(), dis, cons))
+        while len(self.rows) > self.limit - 1:
+            self.stride *= 2
+            self.rows = [row for row in self.rows if row[0] % self.stride == 0]
+
+    def finish(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
+        if self.rows and self.rows[-1][0] == step:
+            return
+        self.rows.append((step, x.copy(), dis, cons))
+
+
+def reference_run(
+    system: WeightedSystem,
+    x0,
+    epsilon: float | None = None,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    snapshot_limit: int = DEFAULT_SNAPSHOT_LIMIT,
+    stepper: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> RunTrace:
+    """engine.run's stopping rule and trace, one step and one check at a time.
+
+    Each step's disagreement, v . x, conserved min/max and sampler offer are
+    computed before the next step is taken, so this is the plain reading of
+    the loop that engine.run evaluates a block of steps at a time.  It does
+    not validate its arguments or refuse uncertified configurations.
+    """
+    x = as_vector(x0, system.n).copy()
+    eps = float(epsilon) if epsilon is not None else default_epsilon(system)
+    v = system.v
+    alpha = float(v @ x) if v is not None else math.nan
+
+    if stepper is None:
+        stepper = matrix_stepper(system, eps)
+
+    x0_scale = float(np.max(np.abs(x))) if system.n else 0.0
+    drift_denom = x0_scale if x0_scale > 0.0 else 1.0
+
+    sampler = _ReferenceSampler(snapshot_limit)
+    cons_min = math.inf
+    cons_max = -math.inf
+    converged_at: int | None = None
+    k = 0
+    # an uncertified run may overflow; the loop detects that itself, so
+    # numpy's overflow and invalid-value warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            dis = float(x.max() - x.min())
+            if v is not None:
+                cons = float(v @ x)
+                cons_min = min(cons_min, cons)
+                cons_max = max(cons_max, cons)
+            else:
+                cons = math.nan
+            sampler.offer(k, x, dis, cons)
+            if dis < tol:
+                converged_at = k
+                break
+            if not math.isfinite(dis):
+                # diverged: no later step can bring the state back below tol
+                break
+            if k >= max_steps:
+                break
+            x = stepper(x)
+            k += 1
+    sampler.finish(k, x, dis, cons)
+
+    # min/max skip nan, so a non-finite conserved value must void the drift;
+    # only the last one can be, since a non-finite v . x means a non-finite
+    # state, whose disagreement ends the loop
+    drift = (cons_max - cons_min) / drift_denom if math.isfinite(cons) else math.nan
+    return RunTrace(
+        steps=[row[0] for row in sampler.rows],
+        states=[row[1] for row in sampler.rows],
+        disagreement=[row[2] for row in sampler.rows],
+        conserved=[row[3] for row in sampler.rows],
+        predicted_alpha=alpha,
+        converged_at=converged_at,
+        steps_run=k,
+        conserved_drift=drift,
+    )

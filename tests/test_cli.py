@@ -17,6 +17,8 @@ from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
+# a directed 24-cycle: the default run needs about 7000 steps
+SLOW_CYCLE = "".join(f"{i} {(i + 1) % 24}\n" for i in range(24))
 BIDIRECTED_TRIANGLE = "0 1\n1 0\n1 2\n2 1\n2 0\n0 2\n"
 
 
@@ -205,6 +207,16 @@ class TestRun:
         assert summary["steps_run"] == 3
         assert (out / "trace.csv").exists()
 
+    def test_nan_tolerance_exits_1(self, tmp_path, triangle, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--graph", str(triangle), "--tol", "nan", "--max-steps", "200000",
+             "--out", str(out)]
+        )
+        assert rc == 1
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverged_run_stops_and_writes_strict_json(self, tmp_path, triangle, capsys):
         # epsilon 5 is far above the bound 1: the state overflows to inf and
         # then nan well before the budget, where disagreement can never
@@ -245,6 +257,36 @@ class TestRun:
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err
         assert "diverged at step" in err
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_diverged_triangle_stops_at_step_346_in_both_modes(
+        self, mode, tmp_path, triangle, capsys
+    ):
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--graph", str(triangle), "--epsilon", "5", "--allow-uncertified",
+             "--mode", mode, "--out", str(out)]
+        )
+        assert rc == 3
+        assert "state diverged at step 346:" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["steps_run"] == 346
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    @pytest.mark.parametrize("max_steps", [1, 255, 256, 257, 511])
+    def test_budget_at_block_edges_exits_3(self, max_steps, mode, tmp_path, capsys):
+        g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--graph", str(g), "--max-steps", str(max_steps), "--mode", mode,
+             "--out", str(out)]
+        )
+        assert rc == 3
+        assert f"did not converge within {max_steps} steps" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps_run"] == max_steps
+        assert summary["converged_at"] is None
+        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == max_steps
 
     def test_modes_produce_identical_trace_bytes(self, tmp_path, triangle):
         w = write(tmp_path, "w.txt", "0.7\n2.5\n9.25\n")
@@ -380,6 +422,29 @@ class TestCompare:
         assert "step 5" in captured.err
         assert "node 1" in captured.err
 
+    def test_perturbed_agent_detected_inside_a_full_block(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # step 300 lies in the first 256-row block; agent mode still stops
+        # on the same step as matrix mode, so every row is compared
+        real = agents.local_update
+        updates = 0
+
+        def perturbed(agent, epsilon):
+            nonlocal updates
+            if agent.id == 1:
+                updates += 1
+                if updates == 300:
+                    agent.inbox = {j: x + 1e-9 for j, x in agent.inbox.items()}
+            return real(agent, epsilon)
+
+        monkeypatch.setattr(agents, "local_update", perturbed)
+        g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
+        rc = main(["compare", "--graph", str(g), "--max-steps", "600", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "first divergence: step 300, node 1 " in captured.err
+
     def test_uncertified_compare_refused(self, triangle, tmp_path, capsys):
         rc = main(
             ["compare", "--graph", str(triangle), "--epsilon", "2.0", "--out", str(tmp_path)]
@@ -438,6 +503,11 @@ class TestExperimentConfig:
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(graph_path="g.txt", **kwargs)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ExperimentConfig(graph_path="g.txt", tol=tol)
 
 
 def module_env():

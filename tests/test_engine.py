@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import consensim.engine as engine
+from consensim.agents import agent_stepper
 from consensim.engine import (
     HypothesisViolation,
     build_iteration_matrix,
@@ -22,6 +23,7 @@ from consensim.graph import Digraph, parse_edge_list
 from consensim.linalg import power_iteration
 
 from helpers import (
+    assert_same_run,
     brute_force_iterate,
     dyadic_epsilon,
     dyadic_weights,
@@ -32,6 +34,7 @@ from helpers import (
     random_system,
     random_undirected_digraph,
     random_weights,
+    reference_run,
 )
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
@@ -511,6 +514,100 @@ class TestRun:
         for bad in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 run(system, [1.0, 2.0, 3.0], epsilon=bad, override_uncertified=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite(self, bad):
+        # every comparison with nan is false, so "tol <= 0" let it through
+        # and the run could only end on its budget
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run(system, [1.0, 2.0, 3.0], tol=bad, max_steps=10)
+
+
+SLOW_CYCLE = Digraph(n=24, edges=frozenset((i, (i + 1) % 24) for i in range(24)))
+
+
+class TestBlockedLoop:
+    """run steps states in blocks of 1, 2, 4, ... 256 rows; its edges."""
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_converged_at_step_zero_takes_no_step(self, mode, monkeypatch):
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        x0 = np.full(3, 7.5)
+        calls = []
+        inner = (
+            agent_stepper(system, x0, 0.5) if mode == "agents" else matrix_stepper(system, 0.5)
+        )
+
+        def spy(x):
+            calls.append(1)
+            return inner(x)
+
+        if mode == "agents":
+            trace = run(system, x0, 0.5, stepper=spy)
+        else:
+            monkeypatch.setattr(engine, "matrix_stepper", lambda *args: spy)
+            trace = run(system, x0, 0.5)
+        assert (trace.converged_at, trace.steps_run, trace.steps) == (0, 0, [0])
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    @pytest.mark.parametrize("max_steps", [0, 1, 255, 256, 257, 511])
+    def test_budget_at_block_edges(self, max_steps, mode):
+        # the 24-cycle needs about 7000 steps, so each budget runs out
+        system = build_system(SLOW_CYCLE, np.ones(24))
+        x0 = np.arange(24.0)
+        eps = default_epsilon(system)
+
+        def stepper():
+            return agent_stepper(system, x0, eps) if mode == "agents" else None
+
+        inner = stepper()
+        calls = []
+
+        def spy(x):
+            calls.append(1)
+            return inner(x)
+
+        trace = run(
+            system, x0, eps, max_steps=max_steps, snapshot_limit=50,
+            stepper=None if inner is None else spy,
+        )
+        assert trace.converged_at is None
+        assert trace.steps_run == max_steps
+        assert trace.steps[-1] == max_steps
+        if mode == "agents":
+            assert len(calls) == max_steps
+        ref = reference_run(
+            system, x0, eps, max_steps=max_steps, snapshot_limit=50, stepper=stepper()
+        )
+        assert_same_run(trace, ref)
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_diverged_triangle_stops_at_the_same_step_in_both_modes(self, mode):
+        # overflow past the stopping step is discarded, and numpy's warnings
+        # on the way there stay silent under the suite's error filter
+        system = build_system(THREE_CYCLE, np.ones(3))
+        x0 = [1.0, 2.0, 3.0]
+        stepper = agent_stepper(system, x0, 5.0) if mode == "agents" else None
+        trace = run(system, x0, 5.0, override_uncertified=True, stepper=stepper)
+        ref = reference_run(system, x0, 5.0)
+        assert trace.converged_at is None
+        assert not math.isfinite(trace.final_disagreement)
+        assert trace.steps_run == ref.steps_run
+        assert trace.final_state.tobytes() == ref.final_state.tobytes()
+
+    @pytest.mark.parametrize("snapshot_limit", [2, 3, 7, 1000])
+    def test_long_run_matches_the_step_by_step_oracle(self, snapshot_limit):
+        # several full 256-row blocks, with the sampler's stride doubling inside them
+        system = build_system(SLOW_CYCLE, random_weights(np.random.default_rng(7), 24))
+        x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 24)
+        trace = run(system, x0, snapshot_limit=snapshot_limit)
+        ref = reference_run(system, x0, snapshot_limit=snapshot_limit)
+        assert trace.converged_at is not None
+        assert_same_run(trace, ref)
+        eps = np.finfo(np.float64).eps
+        assert abs(trace.conserved_drift - ref.conserved_drift) <= 2 * system.n * eps
 
 
 class TestLimitMatrix:

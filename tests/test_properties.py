@@ -21,9 +21,12 @@ from consensim.engine import (  # noqa: E402
     certify,
     epsilon_bound,
     matrix_stepper,
+    run,
     transposed_iteration_operator,
 )
 from consensim.graph import Digraph  # noqa: E402
+
+from helpers import assert_same_run, reference_run  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -85,3 +88,34 @@ def test_agent_and_matrix_steppers_agree_bitwise(config, data):
         x = agents(x)
         y = matrix(y)
         assert x.tobytes() == y.tobytes(), f"round {r}"
+
+
+# budgets at and next to the run loop's block edges, plus anything up to 600
+budgets = st.one_of(
+    st.sampled_from([0, 1, 2, 3]),
+    st.builds(lambda e, d: 2**e + d, st.integers(1, 9), st.integers(-1, 1)),
+    st.integers(0, 600),
+)
+
+
+@PROPERTY_SETTINGS
+@given(config=certified_configurations(), data=st.data())
+def test_blocked_run_matches_the_step_by_step_oracle(config, data):
+    # steps, states, disagreement and conserved values are bitwise the
+    # oracle's; the drift's extremes come from one product per block, and
+    # each v . x there differs from the per-step one by at most n * eps *
+    # max|x| (||v||_1 = 1), with max|x| <= max|x0| on a certified run
+    system, eps = config
+    n = system.n
+    x0 = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    # from above the initial disagreement (a run of no steps) down to 1e-8 of it
+    tol = float(np.ptp(x0) or 1.0) * 10.0 ** data.draw(st.floats(-8.0, 0.5))
+    max_steps = data.draw(budgets)
+    snapshot_limit = data.draw(st.integers(2, 50))
+    kwargs = dict(tol=tol, max_steps=max_steps, snapshot_limit=snapshot_limit)
+    ref = reference_run(system, x0, eps, **kwargs)
+    for stepper in (None, agent_stepper(system, x0, eps)):
+        trace = run(system, x0, eps, stepper=stepper, **kwargs)
+        assert_same_run(trace, ref)
+        drift_slack = 2 * n * np.finfo(np.float64).eps
+        assert abs(trace.conserved_drift - ref.conserved_drift) <= drift_slack
