@@ -45,12 +45,7 @@ from .graph import (
     out_degrees,
     parse_edge_list,
 )
-from .linalg import (
-    NullSpaceError,
-    PowerIterationResult,
-    null_vector,
-    power_iteration,
-)
+from .linalg import NullSpaceError, null_vector
 
 __version__ = "0.1.0"
 
@@ -61,7 +56,6 @@ __all__ = [
     "HypothesisViolation",
     "MessageProtocolError",
     "NullSpaceError",
-    "PowerIterationResult",
     "RoundReport",
     "RunTrace",
     "SpectralPrediction",
@@ -82,7 +76,6 @@ __all__ = [
     "null_vector",
     "out_degrees",
     "parse_edge_list",
-    "power_iteration",
     "predict",
     "run",
     "run_rounds",

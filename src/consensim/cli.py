@@ -39,6 +39,8 @@ EXIT_HYPOTHESIS = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISMATCH = 4
 
+# above this many nodes, check and trace.csv print a vector's extremes, not
+# the vector, and summary.json leaves out final_state
 _MAX_INLINE_STATE = 64
 
 _MASK64 = (1 << 64) - 1
@@ -119,6 +121,11 @@ def _read_vector_file(path, n: int, label: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
+                # float() also reads digit separators and non-ASCII digits,
+                # which are no plain decimals; the edge-list parser rejects
+                # them too
+                if not line.isascii() or "_" in line:
+                    raise ValueError
                 values.append(float(line))
             except ValueError:
                 raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
@@ -219,7 +226,11 @@ def cmd_check(args) -> int:
     print(f"certified: {_fmt_bool(not problems)}")
     if system.strongly_connected:
         prediction = predict(system, x0, eps)
-        print(f"v: {_fmt_vector(prediction.v)}")
+        if system.n <= _MAX_INLINE_STATE:
+            print(f"v: {_fmt_vector(prediction.v)}")
+        else:
+            print(f"v_min: {_fmt(prediction.v.min())}")
+            print(f"v_max: {_fmt(prediction.v.max())}")
         print(f"predicted_alpha: {_fmt(prediction.alpha)}")
         print(f"rho_estimate: {_fmt(prediction.rho_estimate)}")
     if problems:

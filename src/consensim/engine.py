@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Digraph, is_strongly_connected, is_undirected, out_degrees
-from .linalg import as_vector, null_vector, power_iteration
+from .linalg import as_vector, null_vector
 
 DEFAULT_EPSILON_FACTOR = 0.9
 DEFAULT_TOL = 1e-10
@@ -30,9 +30,6 @@ FALLBACK_EPSILON = 1.0
 # floats (256 KiB), doubling the rows per block from 1
 _BLOCK_ROWS = 256
 _BLOCK_FLOATS = 32768
-
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 20_000
 
 
 class HypothesisViolation(RuntimeError):
@@ -175,41 +172,16 @@ def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> np.ndarray
     return p
 
 
-def transposed_iteration_operator(
-    system: WeightedSystem, epsilon: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The product x -> P^T x over the edge arrays, without the dense P.
-
-    (P^T x)_j = P_jj x_j + sum over edges i -> j of (eps / w_i) x_i, with
-    exactly the entries build_iteration_matrix writes: the ratio eps / w_i
-    off the diagonal and fl(1 - fl(ratio * d_j)) on it.  One np.bincount
-    per product makes it O(n + m); only the summation order differs from
-    the dense product.  Each call returns a new array.
-    """
-    eps = _step_size(epsilon)
-    ratios = eps / system.w
-    diagonal = 1.0 - ratios * system.d
-    listeners = system.listeners
-    sources = system.sources
-    n = system.n
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        scaled = ratios * x
-        y = np.bincount(sources, weights=scaled[listeners], minlength=n)
-        y += diagonal * x
-        return y
-
-    return apply
-
-
 @dataclass(frozen=True)
 class SpectralPrediction:
     """Closed-form prediction for a certified system.
 
     v is the positive unit-l1 null vector of L_w^T (the conserved functional),
-    alpha = v . x0 is the predicted consensus value, and rho_estimate is a
-    power-iteration estimate of the spectral radius of P (1.0 up to numerics
-    for a certified system), iterated on P^T over the edge arrays.
+    alpha = v . x0 is the predicted consensus value, and rho_estimate is the
+    Rayleigh quotient v . (P v) / (v . v): one power-iteration step for the
+    spectral radius of P, started from v.  For a certified step size
+    v^T P = v^T, so it is 1.0 up to rounding and checks that v is a fixed
+    point of the iteration.
     """
 
     v: np.ndarray
@@ -222,9 +194,9 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
 
     Requires a strongly connected graph.  epsilon only affects the
     rho_estimate diagnostic; when omitted or not certified, the default
-    step size is used for that estimate.  The diagnostic is a power
-    iteration with transposed_iteration_operator, O(n + m) per iteration;
-    no dense matrix is built.
+    step size is used for that estimate.  The diagnostic is one product of
+    matrix_stepper's edge-list update with v, O(n + m); no dense matrix is
+    built.
     """
     x = as_vector(x0, system.n)
     v = system.v
@@ -235,11 +207,8 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     if not (0.0 < eps < bound):
         eps = default_epsilon(system)
-    start = np.full(system.n, 1.0 / system.n)
-    pr = power_iteration(
-        transposed_iteration_operator(system, eps), start, max_iter=_POWER_MAX_ITER, tol=_POWER_TOL
-    )
-    return SpectralPrediction(v=v, alpha=alpha, rho_estimate=pr.value)
+    rho = float(v @ matrix_stepper(system, eps)(v)) / float(v @ v)
+    return SpectralPrediction(v=v, alpha=alpha, rho_estimate=rho)
 
 
 def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[[np.ndarray], np.ndarray]:

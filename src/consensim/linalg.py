@@ -1,17 +1,13 @@
-"""Linear-algebra kernels: norms, null vectors, power iteration.
+"""Linear-algebra kernels: input validation, a norm, the null vector.
 
-Vectors and matrices are plain float64 numpy arrays.  The two nontrivial
-routines here form a deliberate dual route: :func:`null_vector` extracts the
-stationary direction with one bordered LAPACK solve, while
-:func:`power_iteration` estimates the same direction iteratively, so each
-can check the other.  :func:`power_iteration` takes either a dense square
-matrix or a callable that applies the operator, so a sparse operator (such
-as the engine's edge-list product with P^T) never needs an n x n array.
+Vectors and matrices are plain float64 numpy arrays.  :func:`null_vector`
+extracts the stationary direction with one bordered LAPACK solve and checks
+its residual and sign as postconditions.  The independent routes that
+cross-check it (a hand-written elimination and a dense power iteration) are
+test oracles and live with the tests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +40,6 @@ def as_square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-def l1_norm(x) -> float:
-    """Sum of absolute entries."""
-    return float(np.sum(np.abs(as_vector(x))))
 
 
 def matrix_inf_norm(m) -> float:
@@ -101,72 +92,3 @@ def null_vector(m) -> np.ndarray:
             "null vector is not entrywise positive; hypothesis violation or upstream fault"
         )
     return v
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    """Outcome of a power iteration run.
-
-    value is the Rayleigh-quotient eigenvalue estimate at the final iterate,
-    vector is the final iterate with unit l1 norm, converged records whether
-    successive iterates came within tol in l1 distance before max_iter.
-    """
-
-    value: float
-    vector: np.ndarray
-    converged: bool
-    iterations: int
-
-
-def power_iteration(m, x0, max_iter: int = 10_000, tol: float = 1e-13) -> PowerIterationResult:
-    """Estimate the dominant eigenpair of an operator by repeated multiplication.
-
-    m is a square matrix, validated as finite, or a callable that returns
-    m @ x as a new float64 array of x0's length; a result of another length
-    raises ValueError.  Iterates x <- m x / ||m x||_1 from x0 until the l1
-    distance between successive iterates drops below tol or max_iter is
-    reached.  A matrix and a callable applying it with ``m @ x`` give
-    bitwise the same result.  Non-convergence is reported in the result, not
-    raised: for the intended inputs (primitive nonnegative matrices) it
-    indicates a budget problem, and for anything else it is itself
-    informative.
-    """
-    if callable(m):
-        apply = m
-        x = as_vector(x0).copy()
-    else:
-        a = as_square_matrix(m)
-        apply = a.__matmul__
-        x = as_vector(x0, a.shape[0]).copy()
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    norm = l1_norm(x)
-    if norm == 0.0:
-        raise ValueError("starting vector must be nonzero")
-    x /= norm
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = apply(x)
-        if y.shape != x.shape:
-            raise ValueError(f"operator returned shape {y.shape} for a vector of shape {x.shape}")
-        ynorm = float(np.abs(y).sum())
-        if ynorm == 0.0:
-            # x landed in the null space; the estimate below is still defined
-            x = y
-            break
-        y /= ynorm
-        # x is owned here, so it can hold |x - y| for the convergence test
-        x -= y
-        delta = float(np.abs(x, out=x).sum())
-        x = y
-        if delta < tol:
-            converged = True
-            break
-
-    xx = float(x @ x)
-    value = float(x @ apply(x)) / xx if xx > 0.0 else 0.0
-    return PowerIterationResult(value=value, vector=x, converged=converged, iterations=iterations)

@@ -5,16 +5,16 @@ reachability goes through a transitive-closure sweep instead of graph
 search, Laplacians are assembled in integer arithmetic from the edge set,
 iteration matrices are assembled as a whole-matrix expression instead of
 entrywise ratios, stationary vectors come from a hand-written elimination on
-the row-rescaled Laplacian instead of a LAPACK solve on the integer one, and
-consensus values come from long plain matrix-vector products.  The run
-loop's oracle is the engine's original one-step-at-a-time loop, kept here as
-it was.
+the row-rescaled Laplacian or a dense power iteration instead of a LAPACK
+solve on the integer one, and consensus values come from long plain
+matrix-vector products.  The run loop's oracle is the engine's original
+one-step-at-a-time loop, kept here as it was.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -221,6 +221,53 @@ def elimination_null_vector(m: np.ndarray) -> np.ndarray:
     if float(v.min()) <= 0.0:
         raise NullSpaceError("null vector is not entrywise positive")
     return v
+
+
+class PowerIterationResult(NamedTuple):
+    """value is the Rayleigh quotient at the final iterate, vector the final
+    iterate with unit l1 norm, converged whether successive iterates came
+    within tol in l1 distance before max_iter."""
+
+    value: float
+    vector: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def power_iteration(m, x0, max_iter: int = 10_000, tol: float = 1e-13) -> PowerIterationResult:
+    """Dominant eigenpair of a dense square matrix by repeated multiplication.
+
+    Iterates x <- m x / ||m x||_1 from x0 until the l1 distance between
+    successive iterates drops below tol or max_iter is reached.
+    Non-convergence is reported in the result, not raised.
+    """
+    a = np.asarray(m, dtype=np.float64)
+    x = np.asarray(x0, dtype=np.float64)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    norm = float(np.sum(np.abs(x)))
+    if norm == 0.0:
+        raise ValueError("starting vector must be nonzero")
+    x = x / norm
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        y = a @ x
+        ynorm = float(np.sum(np.abs(y)))
+        if ynorm == 0.0:
+            # x landed in the null space; the estimate below is still defined
+            x = y
+            break
+        y = y / ynorm
+        delta = float(np.sum(np.abs(y - x)))
+        x = y
+        if delta < tol:
+            converged = True
+            break
+    xx = float(x @ x)
+    value = float(x @ (a @ x)) / xx if xx > 0.0 else 0.0
+    return PowerIterationResult(value, x, converged, iterations)
 
 
 def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:

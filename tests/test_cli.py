@@ -110,6 +110,36 @@ class TestCheck:
         assert rc == 0
         assert "undirected: true" in capsys.readouterr().out
 
+    def test_one_node_graph(self, tmp_path, capsys):
+        # no edges: P is the identity and the step sums an empty edge list
+        g = write(tmp_path, "one.txt", "nodes 1\n")
+        rc = main(["check", "--graph", str(g)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "v: [1.0]" in lines
+        assert "rho_estimate: 1.0" in lines
+
+    @staticmethod
+    def check_weighted_ring(tmp_path, capsys, n):
+        ring = "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+        g = write(tmp_path, "ring.txt", ring)
+        w = write(tmp_path, "w.txt", "".join(f"{i + 1}\n" for i in range(n)))
+        rc = main(["check", "--graph", str(g), "--weights", str(w)])
+        assert rc == 0
+        v = build_system(parse_edge_list(ring), np.arange(1.0, n + 1.0)).v
+        return capsys.readouterr().out.splitlines(), v
+
+    def test_v_printed_whole_at_64_nodes(self, tmp_path, capsys):
+        lines, v = self.check_weighted_ring(tmp_path, capsys, 64)
+        assert "v: [" + ", ".join(repr(float(x)) for x in v) + "]" in lines
+        assert not any(line.startswith(("v_min:", "v_max:")) for line in lines)
+
+    def test_v_extremes_only_above_64_nodes(self, tmp_path, capsys):
+        lines, v = self.check_weighted_ring(tmp_path, capsys, 65)
+        assert f"v_min: {float(v.min())!r}" in lines
+        assert f"v_max: {float(v.max())!r}" in lines
+        assert not any(line.startswith("v:") for line in lines)
+
 
 class TestRun:
     def test_writes_trace_and_summary(self, tmp_path, triangle, capsys):
@@ -549,6 +579,18 @@ class TestVectorFileParsing:
         out = tmp_path / "o"
         rc = main(["run", "--graph", str(triangle), "--weights", str(w), "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("flag", ["--weights", "--x0"])
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661", "\uff11"])
+    def test_only_ascii_decimals_accepted(self, tmp_path, triangle, capsys, flag, entry):
+        # float() would read a digit separator, an Arabic-Indic one and a
+        # fullwidth one as numbers
+        path = tmp_path / "vec.txt"
+        path.write_text(f"1\n{entry}\n3\n", encoding="utf-8")
+        rc = main(["run", "--graph", str(triangle), flag, str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        label = flag.removeprefix("--")
+        assert f"{label} file line 2: not a number: {entry!r}" in capsys.readouterr().err
 
     def test_non_finite_rejected(self, tmp_path, triangle, capsys):
         x0 = write(tmp_path, "x0.txt", "1\ninf\n3\n")

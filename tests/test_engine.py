@@ -16,11 +16,9 @@ from consensim.engine import (
     matrix_stepper,
     predict,
     run,
-    transposed_iteration_operator,
     undirected_alpha,
 )
 from consensim.graph import Digraph, parse_edge_list
-from consensim.linalg import power_iteration
 
 from helpers import (
     assert_same_run,
@@ -218,36 +216,6 @@ class TestBuildIterationMatrix:
                 certify(system, bad)
 
 
-class TestTransposedIterationOperator:
-    def test_unit_weight_three_cycle_half_step(self):
-        system = build_system(THREE_CYCLE, np.ones(3))
-        y = transposed_iteration_operator(system, 0.5)(np.array([1.0, 2.0, 4.0]))
-        np.testing.assert_array_equal(y, [2.5, 1.5, 3.0])
-
-    def test_agrees_with_the_dense_transpose_within_a_few_ulps(self):
-        for system, eps, x in operator_draws():
-            pt = build_iteration_matrix(system, eps).T
-            y = transposed_iteration_operator(system, eps)(x)
-            # the entries and products are the same; only the summation order differs
-            scale = np.abs(pt) @ np.abs(x)
-            assert np.all(np.abs(y - pt @ x) <= 4 * np.spacing(scale))
-
-    def test_returns_a_new_array_and_leaves_x_alone(self):
-        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
-        apply = transposed_iteration_operator(system, 0.9)
-        x = np.array([1.0, -2.0, 0.5])
-        y = apply(x)
-        np.testing.assert_array_equal(x, [1.0, -2.0, 0.5])
-        assert not np.shares_memory(x, y)
-        assert apply(x) is not y
-
-    def test_rejects_bad_epsilon(self):
-        system = build_system(THREE_CYCLE, np.ones(3))
-        for bad in (0.0, -0.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="epsilon"):
-                transposed_iteration_operator(system, bad)
-
-
 class TestScaleInvariance:
     def test_joint_rescaling_is_bit_identical_on_dyadic_grids(self):
         # weights on k/256 and epsilon on k/65536 make the products with each
@@ -315,14 +283,43 @@ class TestPredict:
             assert pred.alpha == pytest.approx(undirected_alpha(system, x0), abs=1e-10)
 
     def test_rho_matches_the_dense_power_iteration(self):
+        # one dense power-iteration step from v: the Rayleigh quotient with
+        # the dense P, whose products round differently from the edge-list step
+        machine_eps = np.finfo(np.float64).eps
         for system, eps, x in operator_draws():
-            dense = power_iteration(
-                build_iteration_matrix(system, eps).T,
-                np.full(system.n, 1.0 / system.n),
-                max_iter=engine._POWER_MAX_ITER,
-                tol=engine._POWER_TOL,
-            )
-            assert abs(predict(system, x, eps).rho_estimate - dense.value) <= 1e-12
+            v = system.v
+            dense = float(v @ (build_iteration_matrix(system, eps) @ v)) / float(v @ v)
+            rho = predict(system, x, eps).rho_estimate
+            assert abs(rho - dense) <= 4 * machine_eps
+            assert abs(rho - 1.0) <= 4 * machine_eps
+
+    def test_rho_is_one_on_a_slow_weighted_cycle(self):
+        # slowly mixing: a power iteration from the uniform vector is still
+        # 5e-8 away from 1 after 20,000 steps here
+        n = 85
+        cycle = Digraph(n=n, edges=frozenset((i, (i + 1) % n) for i in range(n)))
+        system = build_system(cycle, np.linspace(1.0, 10.0, n))
+        rho = predict(system, np.zeros(n)).rho_estimate
+        assert abs(rho - 1.0) <= 4 * np.finfo(np.float64).eps
+
+    def test_makes_one_stepper_product(self, monkeypatch):
+        calls = []
+        matrix_stepper = engine.matrix_stepper
+
+        def counting_matrix_stepper(system, epsilon):
+            step = matrix_stepper(system, epsilon)
+
+            def counted(x):
+                calls.append(x)
+                return step(x)
+
+            return counted
+
+        monkeypatch.setattr(engine, "matrix_stepper", counting_matrix_stepper)
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        predict(system, [6.0, 0.0, 0.0])
+        assert len(calls) == 1
+        assert calls[0] is system.v
 
     def test_uncertified_epsilon_falls_back_for_rho(self):
         system = build_system(THREE_CYCLE, np.ones(3))
