@@ -231,6 +231,7 @@ def cmd_check(args) -> int:
         else:
             print(f"v_min: {_fmt(prediction.v.min())}")
             print(f"v_max: {_fmt(prediction.v.max())}")
+        print(f"v_route: {system.v_route}")
         print(f"predicted_alpha: {_fmt(prediction.alpha)}")
         print(f"rho_estimate: {_fmt(prediction.rho_estimate)}")
     if problems:
@@ -278,6 +279,7 @@ def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str
         "certified": not certify(system, eps),
         "predicted_alpha": _opt_float(trace.predicted_alpha),
         "v": [float(x) for x in v] if v is not None else None,
+        "v_route": system.v_route,
     }
     if system.n <= _MAX_INLINE_STATE:
         data["final_state"] = [_opt_float(x) for x in trace.final_state]

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Digraph, is_strongly_connected, is_undirected, out_degrees
-from .linalg import as_vector, null_vector
+from .linalg import as_vector, gmres_null_vector, null_vector
 
 DEFAULT_EPSILON_FACTOR = 0.9
 DEFAULT_TOL = 1e-10
@@ -25,6 +25,14 @@ DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_SNAPSHOT_LIMIT = 1000
 # step size used when the bound is infinite (graph without edges)
 FALLBACK_EPSILON = 1.0
+
+# v of a directed graph with more nodes than this comes from GMRES over the
+# edge arrays.  GMRES against the dense solve, one pinned CPU, one BLAS
+# thread: on ring plus chords (out-degree 4) 2.5 against 1.7 ms at n = 256,
+# 2.4 against 3.0 ms at n = 320 and 2.4 against 4.6 ms at n = 384; on sparse
+# random digraphs (mean out-degree 1.5), which take up to 10 GMRES cycles,
+# 18 against 6 ms at n = 384 and 19 against 30 ms at n = 800
+GMRES_MIN_NODES = 384
 
 # run steps into a buffer of at most this many rows, and at most this many
 # floats (256 KiB), doubling the rows per block from 1
@@ -81,18 +89,42 @@ class WeightedSystem:
         return is_undirected(self.graph)
 
     @cached_property
+    def _stationary(self) -> tuple[np.ndarray | None, str | None]:
+        if not self.strongly_connected:
+            return None, None
+        if self.undirected:
+            return self.w / self.w.sum(), "weights"
+        u = None
+        if self.n > GMRES_MIN_NODES:
+            u = gmres_null_vector(self.d, self.listeners, self.sources)
+        route = "gmres"
+        if u is None:
+            u, route = null_vector(self.lap.T), "dense"
+        v = self.w * u
+        return v / v.sum(), route
+
+    @property
     def v(self) -> np.ndarray | None:
         """Positive unit-l1 null vector of L_w^T, or None when the graph is not
-        strongly connected.
+        strongly connected.  Computed once per instance, by the route that
+        v_route names.
 
-        Solved on the integer Laplacian, which keeps the weight spread out of
-        the matrix: L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.
-        Raises NullSpaceError when the solve's postconditions fail.
+        On an undirected graph L is symmetric, so L^T 1 = 0 and v = w / sum(w)
+        exactly, with no solve ("weights").  Otherwise v is solved on the
+        integer Laplacian, which keeps the weight spread out of the matrix:
+        L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.  Above
+        GMRES_MIN_NODES nodes u comes from restarted GMRES over the edge
+        arrays, O(n + m) memory ("gmres"); when that result fails its
+        positivity or componentwise-residual test, and on every smaller
+        graph, u comes from the dense bordered LAPACK solve ("dense"), which
+        raises NullSpaceError when its postconditions fail.
         """
-        if not self.strongly_connected:
-            return None
-        v = self.w * null_vector(self.lap.T)
-        return v / v.sum()
+        return self._stationary[0]
+
+    @property
+    def v_route(self) -> str | None:
+        """How v was computed: "weights", "gmres" or "dense"; None when v is None."""
+        return self._stationary[1]
 
 
 def build_system(graph: Digraph, w) -> WeightedSystem:

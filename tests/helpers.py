@@ -8,7 +8,8 @@ entrywise ratios, stationary vectors come from a hand-written elimination on
 the row-rescaled Laplacian or a dense power iteration instead of a LAPACK
 solve on the integer one, and consensus values come from long plain
 matrix-vector products.  The run loop's oracle is the engine's original
-one-step-at-a-time loop, kept here as it was.
+one-step-at-a-time loop, kept here as it was.  The GMRES route for v is
+checked against the library's dense route, which the others check in turn.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from consensim.engine import (
     matrix_stepper,
 )
 from consensim.graph import Digraph, is_strongly_connected
-from consensim.linalg import NullSpaceError, as_vector
+from consensim.linalg import NullSpaceError, as_vector, null_vector
 
 _PIVOT_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
@@ -79,6 +80,27 @@ def random_undirected_digraph(
         g = Digraph(n=n, edges=frozenset(edges))
         if is_strongly_connected(g):
             return g
+
+
+def ring_with_chords(rng: np.random.Generator, n: int, chords: int) -> Digraph:
+    """Directed ring i -> i + 1 plus `chords` distinct random chords from every node."""
+    edges = set()
+    for i in range(n):
+        nxt = (i + 1) % n
+        edges.add((i, nxt))
+        targets: set[int] = set()
+        while len(targets) < chords:
+            j = int(rng.integers(n))
+            if j not in (i, nxt):
+                targets.add(j)
+        edges.update((i, j) for j in targets)
+    return Digraph(n=n, edges=frozenset(edges))
+
+
+def dense_route_v(system: WeightedSystem) -> np.ndarray:
+    """v as the dense route computes it: w * null_vector(L^T), rescaled."""
+    v = system.w * null_vector(system.lap.T)
+    return v / v.sum()
 
 
 def random_weights(

@@ -16,10 +16,23 @@ from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
 
+from helpers import ring_with_chords
+
 TRIANGLE = "0 1\n1 2\n2 0\n"
 # a directed 24-cycle: the default run needs about 7000 steps
 SLOW_CYCLE = "".join(f"{i} {(i + 1) % 24}\n" for i in range(24))
 BIDIRECTED_TRIANGLE = "0 1\n1 0\n1 2\n2 1\n2 0\n0 2\n"
+# an undirected 3 x 3 grid: nodes 3r + c, edges along rows and along columns
+GRID = "".join(
+    f"{i} {j}\n{j} {i}\n"
+    for i, j in [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    + [(k, k + 3) for k in range(6)]
+)
+
+
+def ring_text(n):
+    g = ring_with_chords(np.random.default_rng(7), n, 3)
+    return "".join(f"{i} {j}\n" for i, j in sorted(g.edges))
 
 
 @pytest.fixture
@@ -139,6 +152,35 @@ class TestCheck:
         assert f"v_min: {float(v.min())!r}" in lines
         assert f"v_max: {float(v.max())!r}" in lines
         assert not any(line.startswith("v:") for line in lines)
+
+
+    @pytest.mark.parametrize(
+        "graph, route",
+        [
+            (TRIANGLE, "dense"),
+            (GRID, "weights"),
+            (ring_text(engine.GMRES_MIN_NODES + 16), "gmres"),
+        ],
+        ids=["triangle", "grid", "ring-with-chords"],
+    )
+    def test_v_route_reported(self, graph, route, tmp_path, capsys):
+        g = write(tmp_path, "g.txt", graph)
+        assert main(["check", "--graph", str(g)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index(f"v_route: {route}")
+        assert lines[at - 1].startswith(("v: ", "v_max: "))
+        assert lines[at + 1].startswith("predicted_alpha: ")
+        main(["run", "--graph", str(g), "--max-steps", "1", "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["v_route"] == route
+
+    def test_no_v_route_without_strong_connectivity(self, tmp_path, capsys):
+        g = write(tmp_path, "arc.txt", "0 1\n")
+        assert main(["check", "--graph", str(g)]) == 2
+        assert "v_route" not in capsys.readouterr().out
+        main(["run", "--graph", str(g), "--allow-uncertified", "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["v"] is None and summary["v_route"] is None
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from consensim.engine import (
     undirected_alpha,
 )
 from consensim.graph import Digraph, parse_edge_list
+from consensim.linalg import gmres_null_vector
 
 from helpers import (
     assert_same_run,
     brute_force_iterate,
+    dense_route_v,
     dyadic_epsilon,
     dyadic_weights,
     elimination_null_vector,
@@ -33,6 +36,7 @@ from helpers import (
     random_undirected_digraph,
     random_weights,
     reference_run,
+    ring_with_chords,
 )
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
@@ -114,14 +118,64 @@ class TestStationaryVector:
         np.testing.assert_allclose(system.v, w / w.sum(), rtol=1e-12, atol=0)
 
     def test_undirected_graphs_give_the_normalized_weights(self):
-        # the paper's undirected corollary: v = w / sum(w), over a weight
-        # spread of 1e10
+        # the paper's undirected corollary: v = w / sum(w), taken as it
+        # stands, over a weight spread of 1e10
         rng = np.random.default_rng(3)
         for _ in range(200):
             g = random_undirected_digraph(rng)
             w = 10.0 ** rng.uniform(-5.0, 5.0, g.n)
             system = build_system(g, w)
-            np.testing.assert_allclose(system.v, w / w.sum(), rtol=1e-12, atol=0)
+            assert system.v.tobytes() == (w / w.sum()).tobytes()
+            assert system.v_route == "weights"
+
+    def test_small_directed_graphs_take_the_dense_route(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            g = ring_with_chords(rng, int(rng.integers(4, engine.GMRES_MIN_NODES + 1)), 2)
+            system = build_system(g, random_weights(rng, g.n))
+            assert system.v.tobytes() == dense_route_v(system).tobytes()
+            assert system.v_route == "dense"
+
+    def test_no_v_without_strong_connectivity(self):
+        system = build_system(parse_edge_list("0 1\n"), np.ones(2))
+        assert system.v is None
+        assert system.v_route is None
+
+    def test_gmres_agrees_with_the_dense_route_above_the_crossover(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            n = engine.GMRES_MIN_NODES + int(rng.integers(1, 200))
+            g = ring_with_chords(rng, n, int(rng.integers(2, 6)))
+            system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
+            v = system.v
+            assert system.v_route == "gmres"
+            np.testing.assert_allclose(v, dense_route_v(system), rtol=1e-12, atol=0)
+            assert float(v.min()) > 0.0
+
+    def test_gmres_route_allocates_no_dense_matrix(self):
+        # the dense route holds L and its bordered copy, 2 * 8 * n^2 bytes =
+        # 64 MB at n = 2000; GMRES holds a basis of 31 vectors, 0.5 MB
+        n = 2000
+        system = build_system(ring_with_chords(np.random.default_rng(17), n, 3), np.ones(n))
+        assert system.strongly_connected and not system.undirected
+        tracemalloc.start()
+        try:
+            system.v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.v_route == "gmres"
+        assert peak < 4_000_000
+
+    def test_stalled_gmres_falls_back_to_the_dense_route(self):
+        # a directed cycle with a back edge at every seventh node: restarted
+        # GMRES still has a residual near 1e-6 after its last cycle
+        n = engine.GMRES_MIN_NODES + 16
+        edges = {(i, (i + 1) % n) for i in range(n)} | {(i, (i - 1) % n) for i in range(0, n, 7)}
+        system = build_system(Digraph(n=n, edges=frozenset(edges)), np.arange(1.0, n + 1.0))
+        assert gmres_null_vector(system.d, system.listeners, system.sources) is None
+        assert system.v.tobytes() == dense_route_v(system).tobytes()
+        assert system.v_route == "dense"
 
     def test_agrees_with_the_elimination_oracle(self):
         rng = np.random.default_rng(14)

@@ -3,9 +3,15 @@ import pytest
 
 from consensim.engine import build_iteration_matrix, build_system, default_epsilon
 from consensim.graph import parse_edge_list
-from consensim.linalg import NullSpaceError, matrix_inf_norm, null_vector
+from consensim.linalg import NullSpaceError, gmres_null_vector, matrix_inf_norm, null_vector
 
-from helpers import elimination_null_vector, power_iteration, random_digraph, random_weights
+from helpers import (
+    elimination_null_vector,
+    power_iteration,
+    random_digraph,
+    random_weights,
+    ring_with_chords,
+)
 
 
 class TestBasics:
@@ -62,6 +68,51 @@ class TestNullVector:
         g = parse_edge_list("0 1\n1 2\n2 0\n")
         system = build_system(g, np.ones(3))
         np.testing.assert_allclose(null_vector(system.lap_w.T), np.full(3, 1.0 / 3.0), atol=1e-15)
+
+
+def gmres_on(g):
+    system = build_system(g, np.ones(g.n))
+    return gmres_null_vector(system.d, system.listeners, system.sources)
+
+
+class TestGmresNullVector:
+    def test_matches_the_dense_solve(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            g = ring_with_chords(rng, int(rng.integers(50, 400)), int(rng.integers(1, 5)))
+            u = gmres_on(g)
+            dense = null_vector(build_system(g, np.ones(g.n)).lap.T)
+            np.testing.assert_allclose(u, dense, rtol=1e-12, atol=0)
+            assert u.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_componentwise_residual_within_the_acceptance_bound(self):
+        g = ring_with_chords(np.random.default_rng(42), 500, 3)
+        system = build_system(g, np.ones(g.n))
+        u = gmres_on(g)
+        lap_t = system.lap.T
+        omega = np.max(np.abs(lap_t @ u) / (np.abs(lap_t) @ u))
+        assert omega <= 64 * g.n * np.finfo(np.float64).eps
+
+    def test_balanced_graph_needs_no_iteration(self):
+        # every in-degree equals the out-degree, so the uniform start is exact
+        n = 500
+        g = parse_edge_list("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        u = gmres_on(g)
+        np.testing.assert_allclose(u, 1.0 / n, rtol=2 * np.finfo(np.float64).eps, atol=0)
+
+    def test_one_node_without_edges(self):
+        # every row of |L^T||u| is 0 here: the residual test must not divide by it
+        np.testing.assert_array_equal(gmres_on(parse_edge_list("nodes 1\n")), [1.0])
+
+    def test_stalled_solve_returns_none(self):
+        n = 300
+        edges = "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+        edges += "".join(f"{i} {(i - 1) % n}\n" for i in range(0, n, 7))
+        assert gmres_on(parse_edge_list(edges)) is None
+
+    def test_sink_gives_no_positive_vector(self):
+        # 0 -> 1 -> 2 with 2 a sink: the null vector of L^T is e_2
+        assert gmres_on(parse_edge_list("0 1\n1 2\n")) is None
 
 
 class TestPowerIteration:

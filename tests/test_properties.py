@@ -3,10 +3,14 @@
 The generated graphs are strongly connected by construction (directed
 cycles, bidirected stars, and a random cycle plus chords) and the weights
 spread over ten orders of magnitude, well past the 0.1-10 range the seeded
-tests draw from.
+tests draw from.  On request the draws add ring-plus-chords graphs above the
+GMRES crossover, so that v comes from every route: the weights (stars), the
+dense solve (small directed graphs) and GMRES.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from consensim.agents import agent_stepper  # noqa: E402
 from consensim.engine import (  # noqa: E402
+    GMRES_MIN_NODES,
+    HypothesisViolation,
     build_system,
     certify,
     epsilon_bound,
@@ -25,16 +31,30 @@ from consensim.engine import (  # noqa: E402
 )
 from consensim.graph import Digraph  # noqa: E402
 
-from helpers import assert_same_run, reference_run  # noqa: E402
+from helpers import assert_same_run, reference_run, ring_with_chords  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def certified_configurations(draw):
-    """(system, eps) with a strongly connected graph and eps below the bound."""
+def certified_configurations(draw, large=False):
+    """(system, eps) with a strongly connected graph and eps below the bound.
+
+    large adds ring-plus-chords graphs just above the GMRES crossover, built
+    from a drawn seed.
+    """
+    families = ["cycle", "star", "cycle-with-chords"] + (["large"] if large else [])
+    family = draw(st.sampled_from(families))
+    if family == "large":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = GMRES_MIN_NODES + int(rng.integers(1, 100))
+        g = ring_with_chords(rng, n, int(rng.integers(1, 5)))
+        system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
+        factor = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        eps = factor * epsilon_bound(system)
+        assume(eps > 0.0 and certify(system, eps) == [])
+        return system, eps
     n = draw(st.integers(min_value=2, max_value=30))
-    family = draw(st.sampled_from(["cycle", "star", "cycle-with-chords"]))
     if family == "cycle":
         edges = {(i, (i + 1) % n) for i in range(n)}
     elif family == "star":
@@ -102,3 +122,72 @@ def test_blocked_run_matches_the_step_by_step_oracle(config, data):
         assert_same_run(trace, ref)
         drift_slack = 2 * n * np.finfo(np.float64).eps
         assert abs(trace.conserved_drift - ref.conserved_drift) <= drift_slack
+
+
+def seeded_state(data, n: int) -> np.ndarray:
+    """x0 in [-1e6, 1e6) from a drawn seed, whatever the size of the system."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-1e6, 1e6, n)
+
+
+@PROPERTY_SETTINGS
+@given(config=certified_configurations(large=True), data=st.data())
+def test_v_dot_x_is_conserved_along_a_run(config, data):
+    # v^T P = v^T for a certified step, so v . x keeps its initial value up
+    # to rounding, with v from whichever route the system took; the bound is
+    # acceptance criterion 4's, relative to max|x0|
+    system, eps = config
+    x0 = seeded_state(data, system.n)
+    trace = run(system, x0, eps, tol=1e-300, max_steps=data.draw(st.integers(1, 300)))
+    scale = float(np.max(np.abs(x0)))
+    assert trace.predicted_alpha == float(system.v @ x0)
+    assert trace.conserved_drift <= 1e-10
+    assert abs(trace.conserved[-1] - trace.predicted_alpha) <= 1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(
+    config=certified_configurations(large=True),
+    power=st.integers(-30, 30),
+    factor=st.floats(1e-3, 1e3),
+    data=st.data(),
+)
+def test_joint_scale_invariance(config, power, factor, data):
+    # P depends on eps / w_i alone, and v on w up to its normalization:
+    # scaling (w, eps) by a power of two rounds nothing, so certification,
+    # v and the whole run are bitwise unchanged; any other factor rounds
+    # c * w_i, which moves v by a few ulps
+    system, eps = config
+    c = 2.0**power
+    # a subnormal step size loses bits when scaled
+    assume(min(eps, c * eps) >= np.finfo(np.float64).tiny)
+    scaled = build_system(system.graph, c * system.w)
+    assert certify(scaled, c * eps) == []
+    assert scaled.v_route == system.v_route
+    assert scaled.v.tobytes() == system.v.tobytes()
+    x0 = seeded_state(data, system.n)
+    kwargs = dict(tol=1e-300, max_steps=data.draw(st.integers(0, 100)))
+    ref = run(system, x0, eps, **kwargs)
+    trace = run(scaled, x0, c * eps, **kwargs)
+    assert_same_run(trace, ref)
+    assert trace.conserved_drift == ref.conserved_drift
+    other = build_system(system.graph, factor * system.w)
+    np.testing.assert_allclose(other.v, system.v, rtol=64 * np.finfo(np.float64).eps, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(config=certified_configurations())
+def test_certification_boundary(config):
+    # the bound itself is excluded: the float just below it is certified,
+    # the bound and the float above it are not, and run refuses both
+    system, _ = config
+    bound = epsilon_bound(system)
+    below = float(np.nextafter(bound, 0.0))
+    assert certify(system, below) == []
+    x0 = np.zeros(system.n)
+    for eps in (bound, float(np.nextafter(bound, math.inf))):
+        assert certify(system, eps) == [
+            f"epsilon {eps!r} is not strictly below the bound {bound!r}"
+        ]
+        with pytest.raises(HypothesisViolation):
+            run(system, x0, eps)
