@@ -6,18 +6,8 @@ iterate to convergence, or simulate the same dynamics as message-passing
 agents; the matrix and agent paths are bit-identical by construction.
 """
 
-from .agents import (
-    Agent,
-    MessageProtocolError,
-    RoundReport,
-    agent_stepper,
-    build_agents,
-    local_update,
-    run_rounds,
-    step_round,
-)
+from .agents import Agent, MessageProtocolError, agent_stepper, build_agents, run_rounds
 from .engine import (
-    DEFAULT_EPSILON_FACTOR,
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TOL,
@@ -25,26 +15,15 @@ from .engine import (
     RunTrace,
     SpectralPrediction,
     WeightedSystem,
-    build_iteration_matrix,
     build_system,
     certify,
     default_epsilon,
     epsilon_bound,
-    limit_matrix,
     matrix_stepper,
     predict,
     run,
-    undirected_alpha,
 )
-from .graph import (
-    Digraph,
-    GraphFormatError,
-    is_strongly_connected,
-    is_undirected,
-    load_edge_list,
-    out_degrees,
-    parse_edge_list,
-)
+from .graph import Digraph, GraphFormatError, load_edge_list, parse_edge_list
 from .linalg import NullSpaceError, null_vector
 
 __version__ = "0.1.0"
@@ -56,32 +35,22 @@ __all__ = [
     "HypothesisViolation",
     "MessageProtocolError",
     "NullSpaceError",
-    "RoundReport",
     "RunTrace",
     "SpectralPrediction",
     "WeightedSystem",
     "agent_stepper",
     "build_agents",
-    "build_iteration_matrix",
     "build_system",
     "certify",
     "default_epsilon",
     "epsilon_bound",
-    "is_strongly_connected",
-    "is_undirected",
-    "limit_matrix",
     "load_edge_list",
-    "local_update",
     "matrix_stepper",
     "null_vector",
-    "out_degrees",
     "parse_edge_list",
     "predict",
     "run",
     "run_rounds",
-    "step_round",
-    "undirected_alpha",
-    "DEFAULT_EPSILON_FACTOR",
     "DEFAULT_MAX_STEPS",
     "DEFAULT_SNAPSHOT_LIMIT",
     "DEFAULT_TOL",

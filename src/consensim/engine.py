@@ -1,4 +1,4 @@
-"""Weighted-consensus engine: certification, iteration matrix, runs, predictions.
+"""Weighted-consensus engine: certification, the stepper, runs, predictions.
 
 The update rule is x(k+1) = P x(k) with P = I - eps * L_w, where
 L_w = W^{-1} L scales each Laplacian row by the inverse node weight.  When
@@ -93,7 +93,12 @@ class WeightedSystem:
         if not self.strongly_connected:
             return None, None
         if self.undirected:
-            return self.w / self.w.sum(), "weights"
+            w = self.w
+            with np.errstate(over="ignore"):
+                if math.isinf(w.sum()):
+                    # a power of two changes no ratio and brings the sum below inf
+                    w = np.ldexp(w, -int(np.frexp(w.max())[1]))
+            return w / w.sum(), "weights"
         u = None
         if self.n > GMRES_MIN_NODES:
             u = gmres_null_vector(self.d, self.listeners, self.sources)
@@ -110,7 +115,8 @@ class WeightedSystem:
         v_route names.
 
         On an undirected graph L is symmetric, so L^T 1 = 0 and v = w / sum(w)
-        exactly, with no solve ("weights").  Otherwise v is solved on the
+        exactly, with no solve ("weights"; w is first scaled by a power of two
+        when sum(w) overflows).  Otherwise v is solved on the
         integer Laplacian, which keeps the weight spread out of the matrix:
         L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.  Above
         GMRES_MIN_NODES nodes u comes from restarted GMRES over the edge
@@ -184,26 +190,6 @@ def certify(system: WeightedSystem, epsilon: float) -> list[str]:
     return failed
 
 
-def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> np.ndarray:
-    """Assemble the dense iteration matrix P = I - eps * L_w entrywise.
-
-    Each row uses the ratio eps / w_i computed first, so off-diagonal
-    entries are exactly fl(eps / w_i) and the diagonal is
-    fl(1 - fl(ratio * d_i)).  Starting from the ratio makes the matrix
-    invariant under jointly scaling (w, eps) by any constant whose products
-    round exactly, and within a couple of ulps otherwise.
-    """
-    eps = _step_size(epsilon)
-    n = system.n
-    ratios = eps / system.w
-    p = np.zeros((n, n), dtype=np.float64)
-    if system.listeners.size:
-        p[system.listeners, system.sources] = ratios[system.listeners]
-    idx = np.arange(n)
-    p[idx, idx] = 1.0 - ratios * system.d
-    return p
-
-
 @dataclass(frozen=True)
 class SpectralPrediction:
     """Closed-form prediction for a certified system.
@@ -273,7 +259,7 @@ class _SnapshotSampler:
     """
 
     def __init__(self, limit: int):
-        self.limit = max(2, int(limit))
+        self.limit = limit
         self.stride = 1
         self.rows: list[tuple[int, np.ndarray, float, float]] = []
 
@@ -366,6 +352,8 @@ def run(
         raise ValueError("tol must be positive and finite")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
+    if not snapshot_limit >= 2:
+        raise ValueError("snapshots must be at least 2")
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     if certify(system, eps) and not override_uncertified:
         raise HypothesisViolation(
@@ -441,33 +429,3 @@ def run(
         steps_run=k + last,
         conserved_drift=drift,
     )
-
-
-def limit_matrix(system: WeightedSystem, epsilon: float | None = None) -> np.ndarray:
-    """Limit of P^k for a certified system: every row equals v.
-
-    With v the positive unit-l1 null vector of L_w^T, the powers of P
-    converge to the rank-one matrix with constant rows v, so the limit state
-    is (v . x0) in every coordinate.
-    """
-    eps = float(epsilon) if epsilon is not None else default_epsilon(system)
-    if certify(system, eps):
-        raise HypothesisViolation(
-            "limit matrix requires a certified system (strongly connected graph and "
-            "epsilon strictly below the bound)"
-        )
-    return np.tile(system.v, (system.n, 1))
-
-
-def undirected_alpha(system: WeightedSystem, x0) -> float:
-    """Consensus value on a connected undirected graph: sum(w x0) / sum(w).
-
-    The conserved direction is proportional to the weight vector itself
-    there, so no eigenvector computation is needed.
-    """
-    x = as_vector(x0, system.n)
-    if not system.undirected:
-        raise HypothesisViolation("closed-form weighted mean requires an undirected graph")
-    if not system.strongly_connected:
-        raise HypothesisViolation("closed-form weighted mean requires a connected graph")
-    return float((system.w @ x) / np.sum(system.w))

@@ -1,4 +1,4 @@
-"""Linear-algebra kernels: input validation, a norm, the null vector.
+"""Linear-algebra kernels: input validation, the null vector.
 
 Vectors and matrices are plain float64 numpy arrays.  Two solvers find the
 null vector of a transposed Laplacian L^T, both on the bordered system
@@ -70,12 +70,6 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def matrix_inf_norm(m) -> float:
-    """Maximum absolute row sum."""
-    a = as_square_matrix(m)
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
 def null_vector(m) -> np.ndarray:
     """Null vector of a transposed Laplacian, normalized to unit l1 norm.
 
@@ -116,7 +110,8 @@ def null_vector(m) -> np.ndarray:
 
     # written as `not <=` / `not >` so that a nan solution fails them too
     residual = float(np.max(np.abs(original @ v)))
-    if not residual <= _RESIDUAL_RTOL * matrix_inf_norm(original) * float(np.max(np.abs(v))):
+    norm = float(np.max(np.sum(np.abs(original), axis=1)))
+    if not residual <= _RESIDUAL_RTOL * norm * float(np.max(np.abs(v))):
         raise NullSpaceError(
             f"null vector residual {residual:.3e} exceeds tolerance; matrix may be ill-conditioned"
         )

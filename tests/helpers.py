@@ -10,6 +10,8 @@ solve on the integer one, and consensus values come from long plain
 matrix-vector products.  The run loop's oracle is the engine's original
 one-step-at-a-time loop, kept here as it was.  The GMRES route for v is
 checked against the library's dense route, which the others check in turn.
+The dense iteration matrix P, built entrywise from the same ratios eps / w_i
+that matrix_stepper applies, lives here too; no library path builds it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from consensim.engine import (
     DEFAULT_TOL,
     RunTrace,
     WeightedSystem,
+    _step_size,
     build_system,
     default_epsilon,
     epsilon_bound,
@@ -144,6 +147,26 @@ def strongly_connected_oracle(g: Digraph) -> bool:
     for k in range(n):
         reach |= np.outer(reach[:, k], reach[k, :])
     return bool(reach.all())
+
+
+def build_iteration_matrix(system: WeightedSystem, epsilon: float) -> np.ndarray:
+    """Assemble the dense iteration matrix P = I - eps * L_w entrywise.
+
+    Each row uses the ratio eps / w_i computed first, so off-diagonal
+    entries are exactly fl(eps / w_i) and the diagonal is
+    fl(1 - fl(ratio * d_i)).  Starting from the ratio makes the matrix
+    invariant under jointly scaling (w, eps) by any constant whose products
+    round exactly, and within a couple of ulps otherwise.
+    """
+    eps = _step_size(epsilon)
+    n = system.n
+    ratios = eps / system.w
+    p = np.zeros((n, n), dtype=np.float64)
+    if system.listeners.size:
+        p[system.listeners, system.sources] = ratios[system.listeners]
+    idx = np.arange(n)
+    p[idx, idx] = 1.0 - ratios * system.d
+    return p
 
 
 def iteration_matrix_oracle(system: WeightedSystem, eps: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -215,6 +216,18 @@ class TestRun:
         assert float(first[3]) == 6.0
         last = lines[-1].split(",")
         assert int(last[0]) == summary["steps_run"]
+
+    def test_weights_whose_sum_overflows(self, tmp_path, capsys):
+        # both weights 1e308: certified, and sum(w) is inf
+        g = write(tmp_path, "pair.txt", "0 1\n1 0\n")
+        w = write(tmp_path, "w.txt", "1e308\n1e308\n")
+        out = tmp_path / "out"
+        assert main(["check", "--graph", str(g), "--weights", str(w)]) == 0
+        assert main(["run", "--graph", str(g), "--weights", str(w), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["v"] == [0.5, 0.5]
+        assert summary["predicted_alpha"] == pytest.approx(summary["final_state"][0], abs=1e-9)
 
     def test_edgeless_graph_summary_is_strict_json(self, tmp_path):
         g = write(tmp_path, "one.txt", "nodes 1\n")
@@ -525,15 +538,11 @@ class TestCompare:
 
 
 class TestOneCertificationPerCommand:
-    @pytest.mark.parametrize(
-        "command, dense_builds", [("check", 0), ("run", 0), ("compare", 0)]
-    )
-    def test_graph_facts_computed_once(
-        self, command, dense_builds, tmp_path, triangle, monkeypatch, capsys
-    ):
+    @pytest.mark.parametrize("command", ["check", "run", "compare"])
+    def test_graph_facts_computed_once(self, command, tmp_path, triangle, monkeypatch, capsys):
         # v and strong connectivity depend on the graph and weights only, so a
-        # command computes each once; no command builds the dense P
-        calls = {"is_strongly_connected": 0, "null_vector": 0, "build_iteration_matrix": 0}
+        # command computes each once
+        calls = {"is_strongly_connected": 0, "null_vector": 0}
         for name in calls:
             real = getattr(engine, name)
 
@@ -543,11 +552,24 @@ class TestOneCertificationPerCommand:
 
             monkeypatch.setattr(engine, name, counted)
         assert main([command, "--graph", str(triangle), "--out", str(tmp_path)]) == 0
-        assert calls == {
-            "is_strongly_connected": 1,
-            "null_vector": 1,
-            "build_iteration_matrix": dense_builds,
-        }
+        assert calls == {"is_strongly_connected": 1, "null_vector": 1}
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["run", "--max-steps", "50"]], ids=["check", "run"]
+    )
+    def test_no_dense_matrix_on_a_large_graph(self, command, tmp_path, capsys):
+        # one dense n x n float64 matrix at n = 2000 is 32 MB; the edge arrays,
+        # the GMRES basis and the run's step buffer together stay far below 8 MB
+        g = write(tmp_path, "ring.txt", ring_text(2000))
+        argv = command + ["--graph", str(g), "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8_000_000
 
 
 class TestExperimentConfig:

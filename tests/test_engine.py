@@ -8,16 +8,13 @@ import consensim.engine as engine
 from consensim.agents import agent_stepper
 from consensim.engine import (
     HypothesisViolation,
-    build_iteration_matrix,
     build_system,
     certify,
     default_epsilon,
     epsilon_bound,
-    limit_matrix,
     matrix_stepper,
     predict,
     run,
-    undirected_alpha,
 )
 from consensim.graph import Digraph, parse_edge_list
 from consensim.linalg import gmres_null_vector
@@ -25,6 +22,7 @@ from consensim.linalg import gmres_null_vector
 from helpers import (
     assert_same_run,
     brute_force_iterate,
+    build_iteration_matrix,
     dense_route_v,
     dyadic_epsilon,
     dyadic_weights,
@@ -127,6 +125,19 @@ class TestStationaryVector:
             system = build_system(g, w)
             assert system.v.tobytes() == (w / w.sum()).tobytes()
             assert system.v_route == "weights"
+
+    def test_an_overflowing_weight_sum_still_gives_a_unit_sum_v(self):
+        # sum(w) is inf here, and w / sum(w) was the zero vector; scaling w
+        # by a power of two first changes no ratio
+        system = build_system(SYMMETRIC_PAIR, [1e308, 1e308])
+        np.testing.assert_array_equal(system.v, [0.5, 0.5])
+        assert system.v_route == "weights"
+        pred = predict(system, [1.0, 0.0])
+        assert pred.alpha == 0.5
+        assert pred.rho_estimate == pytest.approx(1.0, abs=1e-15)
+        trace = run(system, [1.0, 0.0])
+        assert trace.converged_at is not None
+        np.testing.assert_allclose(trace.final_state, [0.5, 0.5], atol=1e-10)
 
     def test_small_directed_graphs_take_the_dense_route(self):
         rng = np.random.default_rng(15)
@@ -334,7 +345,7 @@ class TestPredict:
             system = build_system(g, random_weights(rng, g.n))
             x0 = rng.uniform(-10.0, 10.0, g.n)
             pred = predict(system, x0)
-            assert pred.alpha == pytest.approx(undirected_alpha(system, x0), abs=1e-10)
+            assert pred.alpha == pytest.approx(float(system.w @ x0 / system.w.sum()), abs=1e-10)
 
     def test_rho_matches_the_dense_power_iteration(self):
         # one dense power-iteration step from v: the Rayleigh quotient with
@@ -566,6 +577,13 @@ class TestRun:
             with pytest.raises(ValueError, match="positive and finite"):
                 run(system, [1.0, 2.0, 3.0], epsilon=bad, override_uncertified=True)
 
+    @pytest.mark.parametrize("limit", [0, 1, -5, math.nan])
+    def test_rejects_a_snapshot_limit_below_two(self, limit):
+        # a trace always holds the first and the final step
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with pytest.raises(ValueError, match="snapshots must be at least 2"):
+            run(system, [1.0, 2.0, 3.0], snapshot_limit=limit)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_a_tolerance_that_is_not_finite(self, bad):
         # every comparison with nan is false, so "tol <= 0" let it through
@@ -662,24 +680,27 @@ class TestBlockedLoop:
 
 
 class TestLimitMatrix:
+    # the limit of P^k: the rank-one matrix whose every row is v
     def test_symmetric_pair_unit_weights(self):
+        # eps = 0.5 reaches the limit in one step
         system = build_system(SYMMETRIC_PAIR, np.ones(2))
-        np.testing.assert_array_equal(limit_matrix(system, 0.5), np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(
+            build_iteration_matrix(system, 0.5), np.tile(system.v, (2, 1))
+        )
 
     def test_rows_equal_stationary_direction(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
-        t = limit_matrix(system, 0.5)
+        t = np.linalg.matrix_power(build_iteration_matrix(system, 0.5), 200)
         oracle = elimination_null_vector(system.lap_w.T)
         for row in t:
-            assert row.tobytes() == system.v.tobytes()
-            np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
 
     def test_fixed_point_of_iteration(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
             system = random_system(rng, n_hi=10, dens_lo=0.4)
             eps = default_epsilon(system)
-            t = limit_matrix(system, eps)
+            t = np.tile(system.v, (system.n, 1))
             p = build_iteration_matrix(system, eps)
             assert np.max(np.abs(t @ p - t)) < 1e-10
             assert np.max(np.abs(p @ t - t)) < 1e-10
@@ -688,41 +709,23 @@ class TestLimitMatrix:
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
         eps = 0.5
         p = build_iteration_matrix(system, eps)
-        t = limit_matrix(system, eps)
+        t = np.tile(system.v, (system.n, 1))
         assert np.max(np.abs(np.linalg.matrix_power(p, 200) - t)) < 1e-12
-
-    def test_refuses_uncertified_system(self):
-        system = build_system(THREE_CYCLE, np.ones(3))
-        with pytest.raises(HypothesisViolation, match="certified"):
-            limit_matrix(system, 1.5)
-        disconnected = build_system(parse_edge_list("0 1\n"), np.ones(2))
-        with pytest.raises(HypothesisViolation, match="certified"):
-            limit_matrix(disconnected, 0.1)
 
 
 class TestUndirectedAlpha:
+    # the undirected corollary: predict's alpha is the weighted mean sum(w x0) / sum(w)
     def test_weighted_pair(self):
         system = build_system(SYMMETRIC_PAIR, [1.0, 3.0])
-        assert undirected_alpha(system, [4.0, 0.0]) == 1.0
+        assert predict(system, [4.0, 0.0]).alpha == 1.0
 
     def test_unit_weights_give_plain_mean(self):
         g = parse_edge_list("0 1\n1 0\n1 2\n2 1\n")
         system = build_system(g, np.ones(3))
-        assert undirected_alpha(system, [1.0, 2.0, 6.0]) == pytest.approx(3.0, abs=1e-15)
+        assert predict(system, [1.0, 2.0, 6.0]).alpha == pytest.approx(3.0, abs=1e-15)
 
     def test_constant_state_is_its_own_mean(self):
         rng = np.random.default_rng(71)
         g = random_undirected_digraph(rng, n_hi=10)
         system = build_system(g, random_weights(rng, g.n))
-        assert undirected_alpha(system, np.full(g.n, 4.25)) == pytest.approx(4.25, abs=1e-12)
-
-    def test_rejects_directed_graph(self):
-        system = build_system(THREE_CYCLE, np.ones(3))
-        with pytest.raises(HypothesisViolation, match="undirected"):
-            undirected_alpha(system, [1.0, 2.0, 3.0])
-
-    def test_rejects_disconnected_graph(self):
-        g = parse_edge_list("0 1\n1 0\n2 3\n3 2\n")
-        system = build_system(g, np.ones(4))
-        with pytest.raises(HypothesisViolation, match="connected"):
-            undirected_alpha(system, [1.0, 2.0, 3.0, 4.0])
+        assert predict(system, np.full(g.n, 4.25)).alpha == pytest.approx(4.25, abs=1e-12)
