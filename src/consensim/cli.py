@@ -1,5 +1,8 @@
 """Command-line driver: check hypotheses, run consensus, compare execution modes.
 
+compare steps both modes in lockstep from the same state, checks every step
+bitwise, and reports the exact first divergent step and node.
+
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation,
 3 non-convergence within the step budget, 4 mode mismatch in compare.
 """
@@ -27,6 +30,7 @@ from .engine import (
     certify,
     default_epsilon,
     epsilon_bound,
+    matrix_stepper,
     predict,
     run,
 )
@@ -189,7 +193,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", parents=[common], help="iterate to consensus, write outputs")
     p_run.set_defaults(func=cmd_run)
     p_compare = sub.add_parser(
-        "compare", parents=[common], help="run both modes, verify bitwise-identical traces"
+        "compare", parents=[common], help="step both modes in lockstep, check every step bitwise"
     )
     p_compare.set_defaults(func=cmd_compare)
     return parser
@@ -292,9 +296,8 @@ def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str
 
 
 def _execute_run(
-    config: ExperimentConfig, system: WeightedSystem, x0: np.ndarray, eps: float, mode: str
+    config: ExperimentConfig, system: WeightedSystem, x0: np.ndarray, eps: float, stepper
 ) -> RunTrace:
-    stepper = agent_stepper(system, x0, eps) if mode == "agents" else None
     try:
         return run(
             system,
@@ -313,7 +316,8 @@ def _execute_run(
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     system, x0, eps = _load_problem(config)
-    trace = _execute_run(config, system, x0, eps, config.mode)
+    stepper = agent_stepper(system, x0, eps) if config.mode == "agents" else None
+    trace = _execute_run(config, system, x0, eps, stepper)
 
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -346,49 +350,39 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+class _Divergence(Exception):
+    """The two modes' states first differ; the message names the step and node."""
+
+
 def cmd_compare(args) -> int:
     config = _config_from_args(args)
     system, x0, eps = _load_problem(config)
-    trace_m = _execute_run(config, system, x0, eps, "matrix")
-    trace_a = _execute_run(config, system, x0, eps, "agents")
+    step_matrix = matrix_stepper(system, eps)
+    step_agents = agent_stepper(system, x0, eps)
+    steps = 0
 
-    rows = min(len(trace_m.steps), len(trace_a.steps))
-    for idx in range(rows):
-        step_m = trace_m.steps[idx]
-        step_a = trace_a.steps[idx]
-        if step_m != step_a:
-            print("traces identical: false")
-            print(
-                f"first divergence: recorded row {idx} is step {step_m} in matrix mode "
-                f"but step {step_a} in agents mode",
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-        xm = trace_m.states[idx]
-        xa = trace_a.states[idx]
+    def lockstep(x: np.ndarray) -> np.ndarray:
+        nonlocal steps
+        steps += 1
+        xm = step_matrix(x)
+        xa = step_agents(x)
         if xm.tobytes() != xa.tobytes():
-            bits_m = xm.view(np.uint64)
-            bits_a = xa.view(np.uint64)
-            node = int(np.nonzero(bits_m != bits_a)[0][0])
-            print("traces identical: false")
-            print(
-                f"first divergence: step {step_m}, node {node} "
-                f"(matrix {_fmt(xm[node])}, agents {_fmt(xa[node])})",
-                file=sys.stderr,
+            node = int(np.flatnonzero(xm.view(np.uint64) != xa.view(np.uint64))[0])
+            raise _Divergence(
+                f"first divergence: step {steps}, node {node} "
+                f"(matrix {_fmt(xm[node])}, agents {_fmt(xa[node])})"
             )
-            return EXIT_MISMATCH
-    if len(trace_m.steps) != len(trace_a.steps):
+        return xm
+
+    try:
+        trace = _execute_run(config, system, x0, eps, lockstep)
+    except _Divergence as exc:
         print("traces identical: false")
-        print(
-            f"first divergence: matrix mode recorded {len(trace_m.steps)} rows, "
-            f"agents mode {len(trace_a.steps)}",
-            file=sys.stderr,
-        )
+        print(exc, file=sys.stderr)
         return EXIT_MISMATCH
 
-    converged = trace_m.converged_at is not None
-    print(f"recorded_steps: {len(trace_m.steps)}")
-    print(f"converged: {_fmt_bool(converged)}")
+    print(f"recorded_steps: {len(trace.steps)}")
+    print(f"converged: {_fmt_bool(trace.converged_at is not None)}")
     print("traces identical: true")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ alpha = v . x(0), where v is the positive unit-l1 null vector of L_w^T.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -347,13 +348,16 @@ def run(
     blocks and checked per block; the steps a block takes past the stopping
     step are discarded.
     """
-    x = as_vector(x0, system.n).copy()
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be positive and finite")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     if not snapshot_limit >= 2:
         raise ValueError("snapshots must be at least 2")
+    # a TypeError for 2.5 here, not deep in the loop; numpy integers pass
+    max_steps = operator.index(max_steps)
+    snapshot_limit = operator.index(snapshot_limit)
+    x = as_vector(x0, system.n).copy()
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     if certify(system, eps) and not override_uncertified:
         raise HypothesisViolation(

@@ -484,9 +484,12 @@ class TestCompare:
         assert "recorded_steps: 121" in out
         assert "converged: false" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--snapshots", "3"]], ids=["every-row", "thinned"])
     def test_perturbed_agent_detected_with_step_and_node(
-        self, tmp_path, triangle, capsys, monkeypatch
+        self, extra, tmp_path, triangle, capsys, monkeypatch
     ):
+        # with 3 snapshots step 5 is never recorded; the divergence is still
+        # reported where it happens, not at the next recorded row
         real = agents.local_update
         updates = 0
 
@@ -500,12 +503,12 @@ class TestCompare:
             return real(agent, epsilon)
 
         monkeypatch.setattr(agents, "local_update", perturbed)
-        rc = main(["compare", "--graph", str(triangle), "--out", str(tmp_path)])
+        rc = main(["compare", "--graph", str(triangle), "--out", str(tmp_path)] + extra)
         captured = capsys.readouterr()
         assert rc == 4
         assert "traces identical: false" in captured.out
-        assert "step 5" in captured.err
-        assert "node 1" in captured.err
+        assert "step 5," in captured.err
+        assert "node 1 " in captured.err
 
     def test_perturbed_agent_detected_inside_a_full_block(
         self, tmp_path, capsys, monkeypatch
@@ -529,6 +532,18 @@ class TestCompare:
         captured = capsys.readouterr()
         assert rc == 4
         assert "first divergence: step 300, node 1 " in captured.err
+
+    def test_thinned_compare_reports_what_run_records(self, tmp_path, capsys):
+        g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
+        common = ["--graph", str(g), "--snapshots", "7"]
+        assert main(["compare"] + common) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert main(["run", "--out", str(tmp_path / "out")] + common) == 0
+        run_fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+        assert int(fields["recorded_steps"]) == len(rows)
+        assert run_fields["converged_at"] != "none"
+        assert fields["converged"] == "true"
 
     def test_uncertified_compare_refused(self, triangle, tmp_path, capsys):
         rc = main(

@@ -584,6 +584,25 @@ class TestRun:
         with pytest.raises(ValueError, match="snapshots must be at least 2"):
             run(system, [1.0, 2.0, 3.0], snapshot_limit=limit)
 
+    @pytest.mark.parametrize(
+        "budget", [{"max_steps": 2.5}, {"snapshot_limit": 2.9}], ids=["max_steps", "snapshots"]
+    )
+    def test_rejects_a_budget_that_is_not_an_integer(self, budget, monkeypatch):
+        # 2.5 used to fail inside the block loop, and 2.9 was taken as 2
+        def no_work(*args):
+            raise AssertionError("run did work before checking its budgets")
+
+        monkeypatch.setattr(engine, "matrix_stepper", no_work)
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with pytest.raises(TypeError, match="integer"):
+            run(system, [1.0, 2.0, 3.0], **budget)
+
+    def test_accepts_numpy_integer_budgets(self):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        trace = run(system, [9.0, 0.0, 0.0], max_steps=np.int64(3), snapshot_limit=np.int32(3))
+        assert trace.steps == [0, 2, 3]
+        assert trace.steps_run == 3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_a_tolerance_that_is_not_finite(self, bad):
         # every comparison with nan is false, so "tol <= 0" let it through
