@@ -588,7 +588,7 @@ class TestRun:
         "budget", [{"max_steps": 2.5}, {"snapshot_limit": 2.9}], ids=["max_steps", "snapshots"]
     )
     def test_rejects_a_budget_that_is_not_an_integer(self, budget, monkeypatch):
-        # 2.5 used to fail inside the block loop, and 2.9 was taken as 2
+        # a float budget fails before any work, neither inside the loop nor truncated
         def no_work(*args):
             raise AssertionError("run did work before checking its budgets")
 
