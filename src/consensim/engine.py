@@ -27,14 +27,6 @@ DEFAULT_SNAPSHOT_LIMIT = 1000
 # step size used when the bound is infinite (graph without edges)
 FALLBACK_EPSILON = 1.0
 
-# v of a directed graph with more nodes than this comes from GMRES over the
-# edge arrays.  GMRES against the dense solve, one pinned CPU, one BLAS
-# thread: on ring plus chords (out-degree 4) 2.5 against 1.7 ms at n = 256,
-# 2.4 against 3.0 ms at n = 320 and 2.4 against 4.6 ms at n = 384; on sparse
-# random digraphs (mean out-degree 1.5), which take up to 10 GMRES cycles,
-# 18 against 6 ms at n = 384 and 19 against 30 ms at n = 800
-GMRES_MIN_NODES = 384
-
 # run steps into a buffer of at most this many rows, and at most this many
 # floats (256 KiB), doubling the rows per block from 1
 _BLOCK_ROWS = 256
@@ -100,10 +92,7 @@ class WeightedSystem:
                     # a power of two changes no ratio and brings the sum below inf
                     w = np.ldexp(w, -int(np.frexp(w.max())[1]))
             return w / w.sum(), "weights"
-        u = None
-        if self.n > GMRES_MIN_NODES:
-            u = gmres_null_vector(self.d, self.listeners, self.sources)
-        route = "gmres"
+        u, route = gmres_null_vector(self.d, self.listeners, self.sources), "gmres"
         if u is None:
             u, route = null_vector(self.lap.T), "dense"
         v = self.w * u
@@ -119,11 +108,10 @@ class WeightedSystem:
         exactly, with no solve ("weights"; w is first scaled by a power of two
         when sum(w) overflows).  Otherwise v is solved on the
         integer Laplacian, which keeps the weight spread out of the matrix:
-        L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.  Above
-        GMRES_MIN_NODES nodes u comes from restarted GMRES over the edge
-        arrays, O(n + m) memory ("gmres"); when that result fails its
-        positivity or componentwise-residual test, and on every smaller
-        graph, u comes from the dense bordered LAPACK solve ("dense"), which
+        L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.  u comes
+        from restarted GMRES over the edge arrays, O(n + m) memory ("gmres");
+        only when that result fails its positivity or componentwise-residual
+        test does u come from the dense bordered LAPACK solve ("dense"), which
         raises NullSpaceError when its postconditions fail.
         """
         return self._stationary[0]

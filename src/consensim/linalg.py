@@ -8,15 +8,16 @@ null vector of a transposed Laplacian L^T, both on the bordered system
   O(n^3) work, and checks its residual and sign as postconditions;
 * :func:`gmres_null_vector` runs restarted GMRES over the edge arrays, O(n + m)
   per product and O(n) memory, and returns None instead of a vector that
-  fails its acceptance test, so the caller can fall back on the dense solve.
+  fails its acceptance test.
+
+WeightedSystem.v tries GMRES first on every directed graph and falls back
+on the dense solve only when GMRES is rejected.
 
 The independent routes that cross-check them (a hand-written elimination and
 a dense power iteration) are test oracles and live with the tests.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -73,10 +74,9 @@ def as_square_matrix(m) -> np.ndarray:
 def null_vector(m) -> np.ndarray:
     """Null vector of a transposed Laplacian, normalized to unit l1 norm.
 
-    The dense route for v: WeightedSystem.v calls it on directed graphs up
-    to the GMRES crossover and whenever :func:`gmres_null_vector` is
-    rejected (undirected graphs need no solve).  It holds M and a bordered
-    copy, O(n^2) memory.
+    The dense route for v: WeightedSystem.v calls it on a directed graph
+    only when :func:`gmres_null_vector` is rejected (undirected graphs need
+    no solve).  It holds M and a bordered copy, O(n^2) memory.
 
     Intended for matrices M with a one-dimensional null space spanned by an
     entrywise-positive vector (M equal to the transpose of a Laplacian of a
@@ -132,9 +132,11 @@ def gmres_null_vector(d, listeners, sources) -> np.ndarray | None:
     its last equation replaced by sum(u) = 1, from the uniform vector, which
     is exact when every in-degree equals the out-degree.  One product is
     ``d * u - bincount(sources, u[listeners])``, O(n + m).  A cycle builds a
-    Krylov basis of _GMRES_RESTART vectors, orthogonalized by classical
-    Gram-Schmidt applied twice.  Cycles stop once every row of L^T u is
-    within a few times its own rounding error, or after _GMRES_MAX_RESTARTS.
+    Krylov basis of up to _GMRES_RESTART vectors, orthogonalized by classical
+    Gram-Schmidt applied twice, keeps the (k + 1) x k Hessenberg matrix H of
+    that basis, and ends in one least-squares solve, min ||beta e_1 - H y||.
+    Cycles stop once every row of L^T u is within a few times its own
+    rounding error, or after _GMRES_MAX_RESTARTS.
 
     The result is accepted only when it is entrywise positive and its
     componentwise residual max_j |(L^T u)_j| / (|L^T| |u|)_j, taken over all
@@ -152,11 +154,14 @@ def gmres_null_vector(d, listeners, sources) -> np.ndarray | None:
         y[-1] = u.sum()
         return y
 
-    size = _GMRES_RESTART
+    # an orthonormal basis of R^n has at most n vectors
+    size = min(_GMRES_RESTART, n)
     stop = _GMRES_STOP_FACTOR * _EPS * (1 + np.bincount(sources, minlength=n))
     basis = np.empty((size + 1, n))
-    # upper-triangular factor of the Hessenberg matrix after Givens rotations
-    tri = np.zeros((size, size))
+    # the Hessenberg matrix of one cycle: bordered(basis[j]) is
+    # hess[: j + 2, j] @ basis[: j + 2]; entries below the subdiagonal are
+    # never written and stay zero
+    hess = np.zeros((size + 1, size))
     u = np.full(n, 1.0 / n)
     # a breakdown only makes inf or nan, which the acceptance test rejects
     with np.errstate(all="ignore"):
@@ -171,9 +176,8 @@ def gmres_null_vector(d, listeners, sources) -> np.ndarray | None:
             r[-1] += 1.0
             beta = float(np.linalg.norm(r))
             basis[0] = r / beta
-            rotations: list[tuple[float, float]] = []
-            g = [beta]
-            for k in range(size):
+            k = 0
+            while k < size:
                 w = bordered(basis[k])
                 h = np.zeros(k + 1)
                 for _ in range(2):
@@ -181,26 +185,21 @@ def gmres_null_vector(d, listeners, sources) -> np.ndarray | None:
                     w -= c @ basis[: k + 1]
                     h += c
                 norm = float(np.linalg.norm(w))
-                col = h.tolist() + [norm]
-                for i, (cos, sin) in enumerate(rotations):
-                    a, b = col[i], col[i + 1]
-                    col[i], col[i + 1] = cos * a + sin * b, cos * b - sin * a
-                den = math.hypot(col[k], col[k + 1])
-                if not den > 0.0:
+                hess[: k + 1, k] = h
+                hess[k + 1, k] = norm
+                # a non-finite or zero column ends the cycle without it
+                col = hess[: k + 2, k]
+                if not (np.all(np.isfinite(col)) and col.any()):
                     break
-                cos, sin = col[k] / den, col[k + 1] / den
-                rotations.append((cos, sin))
-                col[k] = den
-                tri[: k + 1, k] = col[: k + 1]
-                g.append(-sin * g[k])
-                g[k] *= cos
+                k += 1
                 if not norm > 0.0:
                     break
-                basis[k + 1] = w / norm
-            k = len(rotations)
+                basis[k] = w / norm
             if not k:
                 break
-            u = u + np.linalg.solve(np.triu(tri[:k, :k]), g[:k]) @ basis[:k]
+            rhs = np.zeros(k + 1)
+            rhs[0] = beta
+            u = u + np.linalg.lstsq(hess[: k + 1, :k], rhs, rcond=None)[0] @ basis[:k]
         accept = _ACCEPT_ULPS_PER_NODE * n * _EPS
         if not (float(u.min()) > 0.0 and np.all(resid <= accept * scale)):
             return None

@@ -9,7 +9,8 @@ the row-rescaled Laplacian or a dense power iteration instead of a LAPACK
 solve on the integer one, and consensus values come from long plain
 matrix-vector products.  The run loop's oracle is the engine's original
 one-step-at-a-time loop, kept here as it was.  The GMRES route for v is
-checked against the library's dense route, which the others check in turn.
+checked against the library's dense route, which the others check in turn;
+the dense route itself serves v only where GMRES is rejected.
 The dense iteration matrix P, built entrywise from the same ratios eps / w_i
 that matrix_stepper applies, lives here too; no library path builds it.
 """
@@ -97,6 +98,16 @@ def ring_with_chords(rng: np.random.Generator, n: int, chords: int) -> Digraph:
             if j not in (i, nxt):
                 targets.add(j)
         edges.update((i, j) for j in targets)
+    return Digraph(n=n, edges=frozenset(edges))
+
+
+def back_edge_cycle(n: int) -> Digraph:
+    """Directed cycle i -> i + 1 with a back edge i -> i - 1 at every seventh node.
+
+    Restarted GMRES still has a residual near 1e-6 on it after its last
+    cycle at a few hundred nodes, so v falls back on the dense route.
+    """
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(i, (i - 1) % n) for i in range(0, n, 7)}
     return Digraph(n=n, edges=frozenset(edges))
 
 

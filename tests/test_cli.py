@@ -17,7 +17,7 @@ from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
 
-from helpers import ring_with_chords
+from helpers import back_edge_cycle, ring_with_chords
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
 # a directed 24-cycle: the default run needs about 7000 steps
@@ -31,9 +31,12 @@ GRID = "".join(
 )
 
 
-def ring_text(n):
-    g = ring_with_chords(np.random.default_rng(7), n, 3)
+def edge_text(g):
     return "".join(f"{i} {j}\n" for i, j in sorted(g.edges))
+
+
+def ring_text(n):
+    return edge_text(ring_with_chords(np.random.default_rng(7), n, 3))
 
 
 @pytest.fixture
@@ -158,11 +161,12 @@ class TestCheck:
     @pytest.mark.parametrize(
         "graph, route",
         [
-            (TRIANGLE, "dense"),
+            (TRIANGLE, "gmres"),
             (GRID, "weights"),
-            (ring_text(engine.GMRES_MIN_NODES + 16), "gmres"),
+            (ring_text(400), "gmres"),
+            (edge_text(back_edge_cycle(400)), "dense"),
         ],
-        ids=["triangle", "grid", "ring-with-chords"],
+        ids=["triangle", "grid", "ring-with-chords", "stalled-gmres"],
     )
     def test_v_route_reported(self, graph, route, tmp_path, capsys):
         g = write(tmp_path, "g.txt", graph)
@@ -556,8 +560,8 @@ class TestOneCertificationPerCommand:
     @pytest.mark.parametrize("command", ["check", "run", "compare"])
     def test_graph_facts_computed_once(self, command, tmp_path, triangle, monkeypatch, capsys):
         # v and strong connectivity depend on the graph and weights only, so a
-        # command computes each once
-        calls = {"is_strongly_connected": 0, "null_vector": 0}
+        # command computes each once; v takes one solve, by either route
+        calls = {"is_strongly_connected": 0, "gmres_null_vector": 0, "null_vector": 0}
         for name in calls:
             real = getattr(engine, name)
 
@@ -567,7 +571,8 @@ class TestOneCertificationPerCommand:
 
             monkeypatch.setattr(engine, name, counted)
         assert main([command, "--graph", str(triangle), "--out", str(tmp_path)]) == 0
-        assert calls == {"is_strongly_connected": 1, "null_vector": 1}
+        assert calls["is_strongly_connected"] == 1
+        assert calls["gmres_null_vector"] + calls["null_vector"] == 1
 
     @pytest.mark.parametrize(
         "command", [["check"], ["run", "--max-steps", "50"]], ids=["check", "run"]

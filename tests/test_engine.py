@@ -21,6 +21,7 @@ from consensim.linalg import gmres_null_vector
 
 from helpers import (
     assert_same_run,
+    back_edge_cycle,
     brute_force_iterate,
     build_iteration_matrix,
     dense_route_v,
@@ -102,10 +103,12 @@ class TestStationaryVector:
             return null_vector(m)
 
         monkeypatch.setattr(engine, "null_vector", recording_null_vector)
-        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        # GMRES stalls on this graph, so v takes the dense route
+        g = back_edge_cycle(400)
+        system = build_system(g, np.arange(1.0, 401.0))
         assert system.v is not None
         assert len(seen) == 1
-        assert seen[0].tobytes() == laplacian(THREE_CYCLE).T.tobytes()
+        assert seen[0].tobytes() == laplacian(g).T.tobytes()
 
     def test_directed_cycle_with_weight_spread_1e10(self):
         n = 50
@@ -139,24 +142,17 @@ class TestStationaryVector:
         assert trace.converged_at is not None
         np.testing.assert_allclose(trace.final_state, [0.5, 0.5], atol=1e-10)
 
-    def test_small_directed_graphs_take_the_dense_route(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            g = ring_with_chords(rng, int(rng.integers(4, engine.GMRES_MIN_NODES + 1)), 2)
-            system = build_system(g, random_weights(rng, g.n))
-            assert system.v.tobytes() == dense_route_v(system).tobytes()
-            assert system.v_route == "dense"
-
     def test_no_v_without_strong_connectivity(self):
         system = build_system(parse_edge_list("0 1\n"), np.ones(2))
         assert system.v is None
         assert system.v_route is None
 
-    def test_gmres_agrees_with_the_dense_route_above_the_crossover(self):
+    def test_gmres_agrees_with_the_dense_route(self):
+        # every size takes GMRES first, from 4 nodes up
         rng = np.random.default_rng(16)
-        for _ in range(20):
-            n = engine.GMRES_MIN_NODES + int(rng.integers(1, 200))
-            g = ring_with_chords(rng, n, int(rng.integers(2, 6)))
+        for _ in range(40):
+            n = int(rng.integers(4, 601))
+            g = ring_with_chords(rng, n, int(rng.integers(2, min(6, n - 1))))
             system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
             v = system.v
             assert system.v_route == "gmres"
@@ -179,11 +175,8 @@ class TestStationaryVector:
         assert peak < 4_000_000
 
     def test_stalled_gmres_falls_back_to_the_dense_route(self):
-        # a directed cycle with a back edge at every seventh node: restarted
-        # GMRES still has a residual near 1e-6 after its last cycle
-        n = engine.GMRES_MIN_NODES + 16
-        edges = {(i, (i + 1) % n) for i in range(n)} | {(i, (i - 1) % n) for i in range(0, n, 7)}
-        system = build_system(Digraph(n=n, edges=frozenset(edges)), np.arange(1.0, n + 1.0))
+        # restarted GMRES still has a residual near 1e-6 after its last cycle
+        system = build_system(back_edge_cycle(400), np.arange(1.0, 401.0))
         assert gmres_null_vector(system.d, system.listeners, system.sources) is None
         assert system.v.tobytes() == dense_route_v(system).tobytes()
         assert system.v_route == "dense"

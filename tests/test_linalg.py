@@ -107,8 +107,21 @@ class TestGmresNullVector:
         assert gmres_on(parse_edge_list(edges)) is None
 
     def test_sink_gives_no_positive_vector(self):
-        # 0 -> 1 -> 2 with 2 a sink: the null vector of L^T is e_2
+        # 0 -> 1 -> 2 with 2 a sink: the null vector of L^T is e_2; likewise
+        # e_1 for the rooted arc 0 -> 1
         assert gmres_on(parse_edge_list("0 1\n1 2\n")) is None
+        assert gmres_on(parse_edge_list("0 1\n")) is None
+
+    def test_small_graphs_exhaust_the_krylov_space_in_one_cycle(self):
+        # with n <= 30 the first cycle's basis spans the whole space, which
+        # the larger graphs of the other tests never reach
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            g = random_digraph(rng, n_hi=30, dens_lo=0.05)
+            u = gmres_on(g)
+            assert u is not None
+            oracle = elimination_null_vector(build_system(g, np.ones(g.n)).lap.T)
+            np.testing.assert_allclose(u, oracle, rtol=1e-12, atol=0)
 
 
 class TestPowerIteration:
