@@ -5,8 +5,7 @@ cycles, bidirected stars, and a random cycle plus chords) and the weights
 spread over ten orders of magnitude, well past the 0.1-10 range the seeded
 tests draw from.  v comes from the weights on the stars and from GMRES on
 the directed graphs.  On request the draws add ring-plus-chords graphs of a
-few hundred nodes, where GMRES restarts, unlike on the small directed graphs,
-whose Krylov space it exhausts in one cycle.
+few hundred nodes, on which GMRES takes more than one restart cycle.
 """
 
 from __future__ import annotations
