@@ -147,12 +147,36 @@ class TestStationaryVector:
         assert system.v is None
         assert system.v_route is None
 
+    def test_small_directed_graphs_take_the_dense_route(self, monkeypatch):
+        # when GMRES is rejected, v takes the dense route at every size:
+        # no size gate is left in front of either route
+        monkeypatch.setattr(engine, "gmres_null_vector", lambda d, listeners, sources: None)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            g = ring_with_chords(rng, int(rng.integers(4, 385)), 2)
+            system = build_system(g, random_weights(rng, g.n))
+            assert system.v.tobytes() == dense_route_v(system).tobytes()
+            assert system.v_route == "dense"
+
     def test_gmres_agrees_with_the_dense_route(self):
         # every size takes GMRES first, from 4 nodes up
-        rng = np.random.default_rng(16)
-        for _ in range(40):
-            n = int(rng.integers(4, 601))
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            n = int(rng.integers(4, 385))
             g = ring_with_chords(rng, n, int(rng.integers(2, min(6, n - 1))))
+            system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
+            v = system.v
+            assert system.v_route == "gmres"
+            np.testing.assert_allclose(v, dense_route_v(system), rtol=1e-12, atol=0)
+            assert float(v.min()) > 0.0
+
+    def test_gmres_agrees_with_the_dense_route_above_the_crossover(self):
+        # 384 nodes was the crossover below which v took the dense route; the
+        # sizes above it have taken GMRES all along
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            n = 384 + int(rng.integers(1, 217))
+            g = ring_with_chords(rng, n, int(rng.integers(2, 6)))
             system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
             v = system.v
             assert system.v_route == "gmres"
