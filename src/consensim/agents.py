@@ -3,17 +3,17 @@
 Each agent owns its scalar state and updates it from received messages only;
 no agent reads another agent's fields.  A round publishes, then delivers:
 every committed state goes into one list, and each agent's inbox receives
-one message from that list per neighbor.  Every agent then computes its
-update from its inbox alone, and all updates are committed together, so all
-updates within a round read the same committed snapshot.  An agent's
-neighbors are its run of the system's edges in (listener, source) order, so
-per-agent sums run in ascending id order exactly as the matrix engine's do;
-the two paths therefore produce bit-identical trajectories.
+one message from that list per neighbor, message k from ``neighbors[k]``.
+Every agent then computes its update from its inbox alone, and all updates
+are committed together, so all read the same committed snapshot.  An
+agent's neighbors are its run of the system's edges in (listener, source)
+order, so per-agent sums run in ascending id order exactly as the matrix
+engine's do; the two paths produce bit-identical trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,31 +28,32 @@ class MessageProtocolError(RuntimeError):
 
 @dataclass
 class Agent:
-    """One node: identity, weight, scalar state, listened-to neighbors, inbox."""
+    """One node: id, weight, state, distinct neighbor ids, inbox (message k from neighbors[k])."""
 
     id: int
     weight: float
     state: float
     neighbors: tuple[int, ...]
-    inbox: dict[int, float] = field(default_factory=dict)
+    inbox: tuple[float, ...] = ()
 
 
 def local_update(agent: Agent, epsilon: float) -> float:
     """Next state for one agent from its own fields and inbox alone.
 
-    Returns x_i + (eps / w_i) * sum_j (x_j - x_i), accumulating over
-    neighbors in ascending id order.  The caller commits the value; the
-    agent's state is not modified here.  A neighbor without a message in the
-    inbox is a protocol violation, never treated as a zero.
+    Returns x_i + (eps / w_i) * sum_j (x_j - x_i), summing the inbox left to
+    right, i.e. over neighbors in ascending id order.  The caller commits the
+    value; the agent's state is not modified here.  A missing or surplus
+    message is a protocol violation, never treated as a zero.
     """
+    got, expected = len(agent.inbox), len(agent.neighbors)
+    if got < expected:
+        raise MessageProtocolError(
+            f"agent {agent.id} has no message from neighbor {agent.neighbors[got]} this round"
+        )
+    if got > expected:
+        raise MessageProtocolError(f"agent {agent.id} received {got} messages, expected {expected}")
     total = 0.0
-    for j in agent.neighbors:
-        try:
-            xj = agent.inbox[j]
-        except KeyError:
-            raise MessageProtocolError(
-                f"agent {agent.id} has no message from neighbor {j} this round"
-            ) from None
+    for xj in agent.inbox:
         total += xj - agent.state
     return agent.state + (epsilon / agent.weight) * total
 
@@ -85,24 +86,19 @@ def build_agents(system: WeightedSystem, x0) -> list[Agent]:
 def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
-    Phase one publishes every agent's committed state and delivers one
-    message per entry of each agent's neighbors tuple into its inbox; phase
-    two computes every update from the inboxes alone and only then commits
-    all of them.
+    Phase one publishes every committed state and delivers each agent one
+    message per neighbor, in neighbor order; phase two computes every update
+    from the inboxes alone, then commits them all and empties the inboxes.
     """
     published = [a.state for a in agents]
     sent = 0
     for a in agents:
-        a.inbox = {j: published[j] for j in a.neighbors}
-        sent += len(a.neighbors)
-        if len(a.inbox) != len(a.neighbors):
-            raise MessageProtocolError(
-                f"agent {a.id} received {len(a.inbox)} messages, expected {len(a.neighbors)}"
-            )
+        a.inbox = tuple([published[j] for j in a.neighbors])
+        sent += len(a.inbox)
     staged = [local_update(a, epsilon) for a in agents]
     for a, value in zip(agents, staged):
         a.state = value
-        a.inbox = {}
+        a.inbox = ()
     return sent
 
 

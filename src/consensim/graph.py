@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -18,16 +19,18 @@ class Digraph:
 
     An edge (i, j) means node i listens to node j: j's state enters i's
     update.  Self-loops and duplicate edges are rejected.  ``n >= 1`` and
-    isolated nodes are allowed (they never change state).
+    isolated nodes are allowed (they never change state).  ``n`` and the
+    endpoints must be integers (numpy's included); anything else is a TypeError.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError("node count must be at least 1")
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "edges", frozenset((index(i), index(j)) for i, j in self.edges))
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop on node {i}")

@@ -25,7 +25,7 @@ def make_agents(graph_text, w, x0):
 
 class TestLocalUpdate:
     def test_single_neighbor(self):
-        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox={1: 2.0})
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0,))
         assert local_update(a, 0.5) == 1.0
 
     def test_no_neighbors_keeps_state(self):
@@ -33,22 +33,32 @@ class TestLocalUpdate:
         assert local_update(a, 0.7) == -4.5
 
     def test_equal_states_are_a_fixed_point(self):
-        a = Agent(id=0, weight=3.0, state=2.5, neighbors=(1, 2), inbox={1: 2.5, 2: 2.5})
+        a = Agent(id=0, weight=3.0, state=2.5, neighbors=(1, 2), inbox=(2.5, 2.5))
         assert local_update(a, 0.9) == 2.5
 
     def test_weight_scales_the_step(self):
-        light = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox={1: 4.0})
-        heavy = Agent(id=0, weight=4.0, state=0.0, neighbors=(1,), inbox={1: 4.0})
+        light = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(4.0,))
+        heavy = Agent(id=0, weight=4.0, state=0.0, neighbors=(1,), inbox=(4.0,))
         assert local_update(light, 0.5) == 2.0
         assert local_update(heavy, 0.5) == 0.5
 
     def test_missing_message_is_a_protocol_violation(self):
-        a = Agent(id=2, weight=1.0, state=0.0, neighbors=(0, 1), inbox={0: 1.0})
+        a = Agent(id=2, weight=1.0, state=0.0, neighbors=(0, 1), inbox=(1.0,))
         with pytest.raises(MessageProtocolError, match="agent 2 has no message from neighbor 1"):
             local_update(a, 0.5)
 
+    def test_surplus_message_is_a_protocol_violation(self):
+        a = Agent(id=4, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0, 3.0))
+        with pytest.raises(MessageProtocolError, match="agent 4 received 2 messages, expected 1"):
+            local_update(a, 0.5)
+
+    def test_repeated_neighbor_gets_one_message_per_entry(self):
+        # no graph builds such an agent; a hand-built one is read positionally
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1, 1), inbox=(2.0, 6.0))
+        assert local_update(a, 0.25) == 2.0
+
     def test_does_not_commit_state(self):
-        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox={1: 2.0})
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0,))
         local_update(a, 0.5)
         assert a.state == 0.0
 
@@ -85,6 +95,19 @@ class TestRounds:
         system, agents = make_agents("0 2\n1 0\n", np.ones(3), [0.0, 4.0, 8.0])
         step_round(agents, 0.5)
         assert [a.state for a in agents] == [4.0, 2.0, 8.0]
+
+    def test_inboxes_are_empty_after_a_round(self):
+        system, agents = make_agents("0 1\n0 2\n1 0\n2 0\n", np.ones(3), [1.0, 2.0, 3.0])
+        step_round(agents, 0.4)
+        assert [a.inbox for a in agents] == [(), (), ()]
+
+    def test_agent_without_neighbors_sends_nothing_and_keeps_its_state(self):
+        system, agents = make_agents("nodes 3\n0 1\n1 0\n", np.ones(3), [1.0, 0.0, 7.5])
+        assert agents[2].neighbors == ()
+        assert step_round(agents, 0.5) == 2
+        assert agents[2].state == 7.5
+        assert step_round([agents[2]], 0.5) == 0
+        assert agents[2].state == 7.5
 
     def test_report_rounds_are_sequential(self):
         system, agents = make_agents("0 1\n1 0\n", np.ones(2), [2.0, 0.0])

@@ -68,6 +68,18 @@ class TestDefaultInitialState:
         long = default_initial_state(8, 9)
         assert long[:4].tobytes() == short.tobytes()
 
+    def test_golden_values_for_seed_zero(self):
+        # splitmix64's first output for seed 0 is 0xE220A8397B1DCDAF; its top
+        # 53 bits scaled by 2**-53 give the first value
+        first = (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+        golden = [0.8833108082136426, 0.43152799704850997, 0.026433771592597743]
+        assert golden[0] == first
+        assert default_initial_state(3, 0).tolist() == golden
+
+    def test_seed_is_taken_modulo_two_to_the_64(self):
+        wrapped = default_initial_state(6, 2**64 + 5)
+        assert wrapped.tobytes() == default_initial_state(6, 5).tobytes()
+
 
 class TestCheck:
     def test_certified_triangle(self, tmp_path, triangle, capsys):
@@ -503,7 +515,7 @@ class TestCompare:
             if agent.id == 1:
                 updates += 1
                 if updates == 5:
-                    agent.inbox = {j: x + 1e-9 for j, x in agent.inbox.items()}
+                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
             return real(agent, epsilon)
 
         monkeypatch.setattr(agents, "local_update", perturbed)
@@ -527,7 +539,7 @@ class TestCompare:
             if agent.id == 1:
                 updates += 1
                 if updates == 300:
-                    agent.inbox = {j: x + 1e-9 for j, x in agent.inbox.items()}
+                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
             return real(agent, epsilon)
 
         monkeypatch.setattr(agents, "local_update", perturbed)

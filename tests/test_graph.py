@@ -36,6 +36,26 @@ class TestDigraph:
         g = Digraph(n=1, edges=frozenset())
         assert g.n == 1 and g.m == 0
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, {(0, 1.5), (1, 0), (1, 2), (2, 1)}),
+            (3, {(0, 1), (1.0, 0)}),
+            (2.5, {(0, 1), (1, 0)}),
+            (2.0, {(0, 1), (1, 0)}),
+        ],
+        ids=["float-target", "integral-float-source", "float-count", "integral-float-count"],
+    )
+    def test_rejects_non_integer_count_or_endpoint(self, n, edges):
+        # build_system would silently truncate a float id to an int
+        with pytest.raises(TypeError):
+            Digraph(n=n, edges=frozenset(edges))
+
+    def test_numpy_integers_become_python_ints(self):
+        g = Digraph(n=np.int64(3), edges=frozenset({(np.int64(0), np.int32(2)), (2, 0)}))
+        assert g.n == 3 and type(g.n) is int
+        assert g.edges == {(0, 2), (2, 0)}
+        assert all(type(k) is int for e in g.edges for k in e)
 
 
 class TestParseEdgeList:
