@@ -238,37 +238,6 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[[np.ndarr
     return step
 
 
-class _SnapshotSampler:
-    """Stride-doubling trace thinning: deterministic, keeps first and final rows.
-
-    Records every stride-th step; when the buffer would exceed the limit the
-    stride doubles and already-recorded rows are rethinned, so the kept steps
-    are always the multiples of a single power of two plus the final step.
-    Recorded states are kept as given, not copied.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.stride = 1
-        self.rows: list[tuple[int, np.ndarray, float, float]] = []
-
-    def due(self, step: int) -> int:
-        """The first step at or after step that lies on the stride."""
-        return -(-step // self.stride) * self.stride
-
-    def offer(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
-        """Record a step that due() returned."""
-        self.rows.append((step, x, dis, cons))
-        while len(self.rows) > self.limit - 1:
-            self.stride *= 2
-            self.rows = [row for row in self.rows if row[0] % self.stride == 0]
-
-    def finish(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
-        if self.rows and self.rows[-1][0] == step:
-            return
-        self.rows.append((step, x, dis, cons))
-
-
 @dataclass(frozen=True)
 class RunTrace:
     """Recorded trajectory of a consensus run.
@@ -320,11 +289,11 @@ def run(
     applied.
 
     Refuses to run an uncertified configuration (epsilon at or above the
-    bound, or a graph that is not strongly connected) unless
-    override_uncertified is set; uncertified runs carry no guarantee and may
-    diverge.  On a strongly connected graph the conserved functional v . x
-    and the predicted consensus value are tracked; otherwise those fields
-    are nan.
+    bound, or a graph that is not strongly connected), naming the failed
+    hypotheses, unless override_uncertified is set; uncertified runs carry
+    no guarantee and may diverge.  On a strongly connected graph the
+    conserved functional v . x and the predicted consensus value are
+    tracked; otherwise those fields are nan.
 
     stepper replaces the built-in matrix update with any callable mapping a
     state vector to the next state; the stopping rule and trace recording
@@ -332,9 +301,10 @@ def run(
     through the identical reporting path.  A caller's stepper is called
     exactly once per step, each time with the state it last returned, and
     every state it returns is checked against the stopping rule before the
-    next call.  The built-in stepper is pure, so states are stepped in
-    blocks and checked per block; the steps a block takes past the stopping
-    step are discarded.
+    next call; a returned state whose shape is not (n,) raises ValueError.
+    The built-in stepper is pure, so states are stepped in blocks and
+    checked per block; the steps a block takes past the stopping step are
+    discarded.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be positive and finite")
@@ -347,11 +317,9 @@ def run(
     snapshot_limit = operator.index(snapshot_limit)
     x = as_vector(x0, system.n).copy()
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
-    if certify(system, eps) and not override_uncertified:
-        raise HypothesisViolation(
-            "configuration is not certified (epsilon at or above the bound, or graph "
-            "not strongly connected)"
-        )
+    failed = certify(system, eps)
+    if failed and not override_uncertified:
+        raise HypothesisViolation("configuration is not certified: " + "; ".join(failed))
 
     v = system.v
     alpha = float(v @ x) if v is not None else math.nan
@@ -360,13 +328,17 @@ def run(
     if stepper is None:
         stepper = matrix_stepper(system, eps)
 
-    x0_scale = float(np.max(np.abs(x))) if system.n else 0.0
+    x0_scale = float(np.max(np.abs(x)))
     drift_denom = x0_scale if x0_scale > 0.0 else 1.0
 
-    sampler = _SnapshotSampler(snapshot_limit)
+    # (step, state, disagreement) rows on the multiples of one power-of-two
+    # stride from 0; at snapshot_limit rows every second one goes and the
+    # stride doubles, which leaves room for the final step
+    rows: list[tuple[int, np.ndarray, float]] = []
+    stride = 1
     cons_min = math.inf
     cons_max = -math.inf
-    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // max(system.n, 1))), system.n))
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // system.n)), system.n))
     buf[0] = x
     # the block is buf[:size], holding steps k .. k + size - 1
     k = 0
@@ -385,39 +357,48 @@ def run(
                 cons = blk[: last + 1] @ v
                 cons_min = min(cons_min, float(np.fmin.reduce(cons)))
                 cons_max = max(cons_max, float(np.fmax.reduce(cons)))
-            step = sampler.due(k)
+            step = -(-k // stride) * stride
             while step <= k + last:
-                state = blk[step - k].copy()
-                state_cons = float(v @ state) if v is not None else math.nan
-                sampler.offer(step, state, float(dis[step - k]), state_cons)
-                step = sampler.due(step + 1)
+                rows.append((step, blk[step - k].copy(), float(dis[step - k])))
+                if len(rows) == snapshot_limit:
+                    rows = rows[::2]
+                    stride *= 2
+                step = -(-(step + 1) // stride) * stride
             if stops.size or k + last == max_steps:
                 break
             k += size
             size = min(2 * size, len(buf), max_steps - k + 1)
-            for i in range(size):
-                x = stepper(x)
-                buf[i] = x
-                # the block's test on the same row, made before the next call
-                if check_each_step and not (tol <= buf[i].max() - buf[i].min() < math.inf):
-                    size = i + 1
-                    break
-        final = blk[last].copy()
-        final_cons = float(v @ final) if v is not None else math.nan
-    final_dis = float(dis[last])
-    sampler.finish(k + last, final, final_dis, final_cons)
+            if check_each_step:
+                for i in range(size):
+                    x = stepper(x)
+                    if np.shape(x) != (system.n,):
+                        raise ValueError(
+                            f"stepper returned shape {np.shape(x)}, expected {(system.n,)}"
+                        )
+                    buf[i] = x
+                    # the block's test on the same row, made before the next call
+                    if not (tol <= buf[i].max() - buf[i].min() < math.inf):
+                        size = i + 1
+                        break
+            else:
+                for i in range(size):
+                    x = stepper(x)
+                    buf[i] = x
+        if rows[-1][0] != k + last:
+            rows.append((k + last, blk[last].copy(), float(dis[last])))
+        conserved = [float(v @ row[1]) if v is not None else math.nan for row in rows]
 
     # a non-finite conserved value voids the drift; only the last one can
     # be, since a non-finite v . x means a non-finite state, whose
     # disagreement ends the loop
-    drift = (cons_max - cons_min) / drift_denom if math.isfinite(final_cons) else math.nan
+    drift = (cons_max - cons_min) / drift_denom if math.isfinite(conserved[-1]) else math.nan
     return RunTrace(
-        steps=[row[0] for row in sampler.rows],
-        states=[row[1] for row in sampler.rows],
-        disagreement=[row[2] for row in sampler.rows],
-        conserved=[row[3] for row in sampler.rows],
+        steps=[row[0] for row in rows],
+        states=[row[1] for row in rows],
+        disagreement=[row[2] for row in rows],
+        conserved=conserved,
         predicted_alpha=alpha,
-        converged_at=k + last if final_dis < tol else None,
+        converged_at=k + last if dis[last] < tol else None,
         steps_run=k + last,
         conserved_drift=drift,
     )

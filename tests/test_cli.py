@@ -280,6 +280,21 @@ class TestRun:
         assert "not certified" in err
         assert "--allow-uncertified" in err
 
+    @pytest.mark.parametrize(
+        "graph, flags, failed",
+        [
+            ("0 1\n", [], "graph is not strongly connected"),
+            (TRIANGLE, ["--epsilon", "1.5"], "epsilon 1.5 is not strictly below the bound 1.0"),
+        ],
+        ids=["arc", "epsilon"],
+    )
+    def test_refusal_names_the_failed_hypotheses(self, tmp_path, capsys, graph, flags, failed):
+        g = write(tmp_path, "g.txt", graph)
+        rc = main(["run", "--graph", str(g), *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"not certified: {failed}; pass --allow-uncertified to run anyway\n" in err
+
     def test_override_runs_convergent_uncertified_system(self, tmp_path):
         # bidirected triangle: the degree bound is 0.5 but the iteration
         # still contracts for this epsilon

@@ -576,6 +576,15 @@ class TestRun:
         assert trace.converged_at is not None
         assert len(calls) == trace.steps_run
 
+    @pytest.mark.parametrize(
+        "bad", [lambda x: np.array([x[0]]), lambda x: float(x[0])], ids=["one-entry", "float"]
+    )
+    def test_rejects_a_stepper_return_of_the_wrong_shape(self, bad):
+        # numpy would broadcast it into every entry: consensus at step 1
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"stepper returned shape \((1,)?\), expected \(3,\)"):
+            run(system, [6.0, 0.0, 0.0], stepper=bad)
+
     def test_identical_configurations_are_bitwise_reproducible(self):
         system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
         t1 = run(system, [6.0, 0.0, 0.0])
@@ -713,6 +722,36 @@ class TestBlockedLoop:
         assert_same_run(trace, ref)
         eps = np.finfo(np.float64).eps
         assert abs(trace.conserved_drift - ref.conserved_drift) <= 2 * system.n * eps
+
+
+FORTY_CYCLE = Digraph(n=40, edges=frozenset((i, (i + 1) % 40) for i in range(40)))
+
+
+class TestTraceThinning:
+    """The recorded steps in closed form, independent of the step-by-step oracle."""
+
+    @pytest.mark.parametrize("limit", [2, 3, 5, 7, 1000])
+    def test_steps_are_the_multiples_of_one_power_of_two_and_the_last(self, limit):
+        # no 40-cycle run reaches this tolerance, so each budget runs out
+        system = build_system(FORTY_CYCLE, np.ones(40))
+        x0 = np.arange(40.0)
+        # every small budget, and budgets around powers of two and around
+        # the points where a full trace halves
+        budgets = set(range(65)) | {
+            b + d for b in [2**e for e in range(12)] + [(limit - 1) << e for e in range(3)]
+            for d in (-1, 0, 1)
+        }
+        for budget in sorted(budgets):
+            trace = run(system, x0, tol=1e-300, max_steps=budget, snapshot_limit=limit)
+            # the smallest power of two whose multiples up to the budget fit in limit - 1 rows
+            stride = 1
+            while budget // stride + 1 > limit - 1:
+                stride *= 2
+            expected = list(range(0, budget + 1, stride))
+            if expected[-1] != budget:
+                expected.append(budget)
+            assert trace.converged_at is None
+            assert trace.steps == expected, budget
 
 
 class TestLimitMatrix:
