@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Digraph, is_strongly_connected, is_undirected, out_degrees
+from .graph import Digraph, is_strongly_connected
 from .linalg import as_vector, gmres_null_vector, null_vector
 
 DEFAULT_EPSILON_FACTOR = 0.9
@@ -44,9 +44,10 @@ class WeightedSystem:
     listeners/sources are the edges as parallel index arrays sorted by
     (listener, source); this fixed ascending order is the canonical
     summation order shared with the message-passing simulator, which is what
-    keeps the two execution paths bit-identical.  The graph-only facts
-    (strong connectivity, undirectedness, the stationary vector v) do not
-    depend on the step size, so each is computed at most once per instance.
+    keeps the two execution paths bit-identical.  d and undirected are read
+    from these arrays.  The graph-only facts (strong connectivity,
+    undirectedness, the stationary vector v) do not depend on the step size,
+    so each is computed at most once per instance.
     Treat instances as immutable; the arrays are not defensively copied.
     """
 
@@ -79,7 +80,12 @@ class WeightedSystem:
 
     @cached_property
     def undirected(self) -> bool:
-        return is_undirected(self.graph)
+        # the reversed edges, sorted as the edges are, equal them exactly
+        # when every edge has its reverse
+        order = np.lexsort((self.listeners, self.sources))
+        return np.array_equal(self.sources[order], self.listeners) and np.array_equal(
+            self.listeners[order], self.sources
+        )
 
     @cached_property
     def _stationary(self) -> tuple[np.ndarray | None, str | None]:
@@ -127,12 +133,12 @@ def build_system(graph: Digraph, w) -> WeightedSystem:
     wv = as_vector(w, graph.n).copy()
     if wv.size and float(wv.min()) <= 0.0:
         raise ValueError("node weights must be strictly positive")
-    edge_list = sorted(graph.edges)
-    listeners = np.array([i for i, _ in edge_list], dtype=np.intp)
-    sources = np.array([j for _, j in edge_list], dtype=np.intp)
-    return WeightedSystem(
-        graph=graph, w=wv, d=out_degrees(graph), listeners=listeners, sources=sources
-    )
+    edges = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    # contiguous copies: the stepper indexes with them on every step
+    listeners = edges[:, 0].copy()
+    sources = edges[:, 1].copy()
+    d = np.bincount(listeners, minlength=graph.n)
+    return WeightedSystem(graph=graph, w=wv, d=d, listeners=listeners, sources=sources)
 
 
 def epsilon_bound(system: WeightedSystem) -> float:

@@ -1,12 +1,10 @@
-"""Directed graphs, edge-list parsing, degrees, and connectivity."""
+"""Directed graphs, edge-list parsing, and strong connectivity."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable
-
-import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -110,14 +108,6 @@ def load_edge_list(path) -> Digraph:
         return parse_edge_list(fh)
 
 
-def out_degrees(g: Digraph) -> np.ndarray:
-    """Out-degree of every node as an int64 vector."""
-    d = np.zeros(g.n, dtype=np.int64)
-    for i, _ in g.edges:
-        d[i] += 1
-    return d
-
-
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node reaches every other along directed edges.
 
@@ -148,8 +138,3 @@ def is_strongly_connected(g: Digraph) -> bool:
         return count == g.n
 
     return reaches_all(fwd) and reaches_all(rev)
-
-
-def is_undirected(g: Digraph) -> bool:
-    """True iff the edge set is symmetric (every (i, j) has its reverse)."""
-    return all((j, i) in g.edges for (i, j) in g.edges)

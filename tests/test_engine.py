@@ -80,6 +80,10 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="length 3"):
             build_system(THREE_CYCLE, [1.0, 2.0])
 
+    def test_rejects_weights_that_are_not_a_vector(self):
+        with pytest.raises(ValueError, match="expected a 1-D vector"):
+            build_system(THREE_CYCLE, [[1.0, 2.0, 3.0]])
+
     def test_ones_vector_in_null_space(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -410,6 +414,15 @@ class TestPredict:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "call, x0",
+        [(run, [1.0, math.nan, 3.0]), (predict, [1.0, math.inf, 3.0])],
+        ids=["run", "predict"],
+    )
+    def test_rejects_a_start_state_with_a_non_finite_entry(self, call, x0):
+        with pytest.raises(ValueError, match="vector has non-finite entries"):
+            call(build_system(THREE_CYCLE, np.ones(3)), x0)
+
     def test_symmetric_pair_reaches_weighted_mean(self):
         system = build_system(SYMMETRIC_PAIR, [1.0, 3.0])
         trace = run(system, [4.0, 0.0])

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from consensim.graph import (
-    Digraph,
-    GraphFormatError,
-    is_strongly_connected,
-    is_undirected,
-    out_degrees,
-    parse_edge_list,
-)
+from consensim.engine import build_system
+from consensim.graph import Digraph, GraphFormatError, is_strongly_connected, parse_edge_list
 
 from helpers import (
     adjacency_matrix,
@@ -17,6 +11,10 @@ from helpers import (
     random_undirected_digraph,
     strongly_connected_oracle,
 )
+
+
+def unit_system(g):
+    return build_system(g, np.ones(g.n))
 
 
 class TestDigraph:
@@ -130,7 +128,7 @@ class TestParseEdgeList:
 class TestDegreesAndLaplacian:
     def test_three_cycle_degrees(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n")
-        assert out_degrees(g).tolist() == [1, 1, 1]
+        assert unit_system(g).d.tolist() == [1, 1, 1]
 
     def test_three_cycle_laplacian(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n")
@@ -156,7 +154,7 @@ class TestDegreesAndLaplacian:
         for _ in range(200):
             g = random_digraph(rng, n_hi=12, require_strong=False)
             lap = laplacian(g)
-            d = out_degrees(g)
+            d = unit_system(g).d
             # rows sum to zero exactly: integer assembly, exact float conversion
             assert np.all(lap.sum(axis=1) == 0.0)
             np.testing.assert_array_equal(np.diag(lap), d.astype(np.float64))
@@ -200,18 +198,41 @@ class TestStrongConnectivity:
 
 class TestIsUndirected:
     def test_symmetric_pair(self):
-        assert is_undirected(parse_edge_list("0 1\n1 0\n"))
+        assert unit_system(parse_edge_list("0 1\n1 0\n")).undirected
 
     def test_directed_cycle_is_not(self):
-        assert not is_undirected(parse_edge_list("0 1\n1 2\n2 0\n"))
+        assert not unit_system(parse_edge_list("0 1\n1 2\n2 0\n")).undirected
 
     def test_edgeless_graph_is_undirected(self):
-        assert is_undirected(Digraph(n=3, edges=frozenset()))
+        assert unit_system(Digraph(n=3, edges=frozenset())).undirected
 
     def test_random_symmetric_graphs_have_symmetric_laplacian(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = random_undirected_digraph(rng, n_hi=10)
-            assert is_undirected(g)
+            assert unit_system(g).undirected
             lap = laplacian(g)
             np.testing.assert_array_equal(lap, lap.T)
+
+
+class TestEdgeArrays:
+    def test_degrees_symmetry_and_arrays_match_the_dense_oracles(self):
+        rng = np.random.default_rng(2024)
+        graphs = [
+            Digraph(n=1, edges=frozenset()),
+            parse_edge_list("nodes 3\n"),
+            parse_edge_list("nodes 5\n0 1\n1 0\n3 1\n"),
+            parse_edge_list("0 1\n"),
+            parse_edge_list("0 1\n1 0\n1 2\n"),
+        ]
+        graphs += [random_digraph(rng, n_lo=1, n_hi=12, require_strong=False) for _ in range(150)]
+        graphs += [random_undirected_digraph(rng, n_hi=12) for _ in range(50)]
+        for g in graphs:
+            system = unit_system(g)
+            a = adjacency_matrix(g)
+            np.testing.assert_array_equal(system.d, a.sum(axis=1))
+            assert system.undirected == np.array_equal(a, a.T)
+            edges = sorted(g.edges)
+            for arr, column in [(system.listeners, 0), (system.sources, 1)]:
+                assert arr.dtype == np.intp and arr.flags.c_contiguous
+                assert arr.tolist() == [e[column] for e in edges]

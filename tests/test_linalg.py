@@ -33,6 +33,24 @@ class TestNullVector:
     def test_one_by_one_zero_matrix(self):
         np.testing.assert_array_equal(null_vector(np.zeros((1, 1))), [1.0])
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.ones((2, 3)), "expected a square matrix"),
+            ([[1.0, np.nan], [0.0, 1.0]], "matrix has non-finite entries"),
+        ],
+        ids=["not-square", "non-finite"],
+    )
+    def test_rejects_a_matrix_that_is_not_square_and_finite(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            null_vector(m)
+
+    def test_rejects_a_solution_that_is_not_positive(self):
+        # a single arc: the bordered solve succeeds and returns [0, 1]
+        system = build_system(parse_edge_list("0 1\n"), np.ones(2))
+        with pytest.raises(NullSpaceError, match="not entrywise positive"):
+            null_vector(system.lap.T)
+
     def test_rejects_nonsingular_matrix(self):
         # the bordered system is solvable, but its solution is no null vector
         with pytest.raises(NullSpaceError, match="residual"):
