@@ -47,8 +47,6 @@ EXIT_MISMATCH = 4
 # the vector, and summary.json leaves out final_state
 _MAX_INLINE_STATE = 64
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,21 +98,21 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def default_initial_state(n: int, seed: int) -> np.ndarray:
-    """Deterministic initial state in [0, 1): a splitmix-style 64-bit stream.
+    """Deterministic initial state in [0, 1): the splitmix64 stream.
 
-    The generator is fixed and platform independent so identical
+    Value k = 1..n takes z = seed + k * 0x9E3779B97F4A7C15, then
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9, z = (z ^ (z >> 27)) *
+    0x94D049BB133111EB and z ^= z >> 31, all modulo 2**64, and returns
+    (z >> 11) * 2**-53.  It is platform independent, so identical
     configurations produce byte-identical outputs everywhere.
     """
-    state = seed & _MASK64
-    out = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        out[k] = float(z >> 11) * 2.0**-53
-    return out
+    # uint64 arrays wrap silently; a numpy scalar warns and int64 makes float64
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(seed % 2**64) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _read_vector_file(path, n: int, label: str) -> np.ndarray:

@@ -16,9 +16,10 @@ class Digraph:
     """Simple directed graph on nodes 0..n-1 with a set of edges.
 
     An edge (i, j) means node i listens to node j: j's state enters i's
-    update.  Self-loops and duplicate edges are rejected.  ``n >= 1`` and
-    isolated nodes are allowed (they never change state).  ``n`` and the
-    endpoints must be integers (numpy's included); anything else is a TypeError.
+    update.  ``n >= 1`` and isolated nodes are allowed (they never change
+    state).  ``n`` and the endpoints must be integers (numpy's included), else
+    TypeError.  Self-loops, out-of-range endpoints and pairs given twice (equal
+    after ``operator.index``, as a list can hold) raise ValueError.
     """
 
     n: int
@@ -28,12 +29,16 @@ class Digraph:
         object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError("node count must be at least 1")
-        object.__setattr__(self, "edges", frozenset((index(i), index(j)) for i, j in self.edges))
-        for i, j in self.edges:
+        edges: set[tuple[int, int]] = set()
+        for i, j in (map(index, edge) for edge in self.edges):
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.n} nodes")
+            if (i, j) in edges:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            edges.add((i, j))
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @property
     def m(self) -> int:

@@ -61,16 +61,6 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Validate m as a finite 2-D square float64 matrix."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
 def null_vector(m) -> np.ndarray:
     """Null vector of a transposed Laplacian, normalized to unit l1 norm.
 
@@ -87,17 +77,23 @@ def null_vector(m) -> np.ndarray:
     ones row is not in it, so the bordered system is nonsingular exactly when
     the null space is one-dimensional.
 
-    Raises :class:`NullSpaceError` when the bordered system is singular,
+    Raises ValueError unless M is a finite n x n matrix with n >= 1, and
+    :class:`NullSpaceError` when the bordered system is singular,
     when the residual check ``||M v||_inf <= 1e-10 * ||M||_inf * ||v||_inf``
     fails, or when the normalized vector is not entrywise positive.  Those
     are theorem conclusions, so their failure signals a bad input or a bug
     rather than a condition to repair silently.
     """
-    original = as_square_matrix(m)
-    n = original.shape[0]
+    original = np.asarray(m, dtype=np.float64)
+    if original.ndim != 2 or original.shape[0] != original.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {original.shape}")
+    if original.size == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
+    if not np.all(np.isfinite(original)):
+        raise ValueError("matrix has non-finite entries")
     bordered = original.copy()
     bordered[-1, :] = 1.0
-    rhs = np.zeros(n, dtype=np.float64)
+    rhs = np.zeros(len(original), dtype=np.float64)
     rhs[-1] = 1.0
     try:
         v = np.linalg.solve(bordered, rhs)

@@ -13,6 +13,8 @@ checked against the library's dense route, which the others check in turn;
 the dense route itself serves v only where GMRES is rejected.
 The dense iteration matrix P, built entrywise from the same ratios eps / w_i
 that matrix_stepper applies, lives here too; no library path builds it.
+The CLI's default initial state is checked against its original per-node
+splitmix64 loop in Python integers.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from consensim.linalg import NullSpaceError, as_vector, null_vector
 
 _PIVOT_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
+_MASK64 = (1 << 64) - 1
 
 
 def all_ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -189,6 +192,20 @@ def iteration_matrix_oracle(system: WeightedSystem, eps: float) -> np.ndarray:
     d = a.sum(axis=1)
     lap = np.diag(d) - a
     return np.eye(n) - eps * (lap / system.w[:, None])
+
+
+def default_initial_state_oracle(n: int, seed: int) -> np.ndarray:
+    """cli.default_initial_state's original splitmix64 loop: one Python int per node."""
+    state = seed & _MASK64
+    out = np.empty(n, dtype=np.float64)
+    for k in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        out[k] = float(z >> 11) * 2.0**-53
+    return out
 
 
 def brute_force_iterate(p: np.ndarray, x0: np.ndarray, steps: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
 
-from helpers import back_edge_cycle, ring_with_chords
+from helpers import back_edge_cycle, default_initial_state_oracle, ring_with_chords
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
 # a directed 24-cycle: the default run needs about 7000 steps
@@ -79,6 +79,33 @@ class TestDefaultInitialState:
     def test_seed_is_taken_modulo_two_to_the_64(self):
         wrapped = default_initial_state(6, 2**64 + 5)
         assert wrapped.tobytes() == default_initial_state(6, 5).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 1000, 10**5])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 5, 2**63, 2**64 - 1, 2**64 + 5, 2**70 + 3])
+    def test_bitwise_equal_to_the_per_node_loop(self, n, seed):
+        expected = default_initial_state_oracle(n, seed).tobytes()
+        assert default_initial_state(n, seed).tobytes() == expected
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("text", [TRIANGLE, ring_text(100)], ids=["n3", "n100"])
+    def test_seed_gives_the_same_outputs_as_its_state_in_an_x0_file(
+        self, command, text, tmp_path, monkeypatch, capsys
+    ):
+        # n = 3 prints and traces whole states, n = 100 only their extremes
+        seed = 2**64 + 3
+        g = write(tmp_path, "g.txt", text)
+        state = default_initial_state(parse_edge_list(text).n, seed).tolist()
+        x0 = write(tmp_path, "x0.txt", "".join(f"{x!r}\n" for x in state))
+        results = []
+        for name, flags in [("seeded", ["--seed", str(seed)]), ("x0", ["--x0", str(x0)])]:
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            rc = main([command, "--graph", str(g), *flags, "--out", "out"])
+            outputs = ["trace.csv", "summary.json"] if command == "run" else []
+            files = [Path("out", f).read_bytes() for f in outputs]
+            results.append((rc, capsys.readouterr().out, files))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
 
 class TestCheck:

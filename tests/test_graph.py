@@ -26,6 +26,16 @@ class TestDigraph:
         with pytest.raises(ValueError, match="out of range"):
             Digraph(n=2, edges=frozenset({(0, 2)}))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (0, 1), (1, 0)], ((0, 1), (1, 0), (np.int64(0), 1))],
+        ids=["list", "tuple-with-numpy-id"],
+    )
+    def test_rejects_a_pair_given_twice(self, edges):
+        # a frozenset cannot hold a repeat; a list or tuple can
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Digraph(n=2, edges=edges)
+
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError, match="at least 1"):
             Digraph(n=0, edges=frozenset())

@@ -38,8 +38,9 @@ class TestNullVector:
         [
             (np.ones((2, 3)), "expected a square matrix"),
             ([[1.0, np.nan], [0.0, 1.0]], "matrix has non-finite entries"),
+            (np.zeros((0, 0)), "expected a nonempty matrix"),
         ],
-        ids=["not-square", "non-finite"],
+        ids=["not-square", "non-finite", "empty"],
     )
     def test_rejects_a_matrix_that_is_not_square_and_finite(self, m, message):
         with pytest.raises(ValueError, match=message):
