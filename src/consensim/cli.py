@@ -115,22 +115,55 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _read_vector_file(path, n: int, label: str) -> np.ndarray:
+# the bytes of a plain decimal, with sign, point and exponent, and the newline
+_NUMBER_BYTES = b"0123456789+-.eE\n"
+
+
+def _bulk_floats(text: str) -> list[float] | None:
+    # the common form: one plain decimal on each line and nothing else.  None
+    # for any other text (float("") rejects a blank line); the line loop then
+    # reads it, with the same float() on the same lines
+    if not text.isascii() or text.encode("ascii").translate(None, _NUMBER_BYTES):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        return list(map(float, lines))
+    except ValueError:
+        return None
+
+
+def _vector_lines(lines, label: str) -> list[float]:
     values: list[float] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            # float() also reads digit separators and non-ASCII digits,
+            # which are no plain decimals; the edge-list parser rejects
+            # them too
+            if not line.isascii() or "_" in line:
+                raise ValueError
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
+    return values
+
+
+def _read_vector_file(path, n: int, label: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                # float() also reads digit separators and non-ASCII digits,
-                # which are no plain decimals; the edge-list parser rejects
-                # them too
-                if not line.isascii() or "_" in line:
-                    raise ValueError
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            # read line by line, a faulty line ahead of the undecodable chunk is reported first
+            fh.seek(0)
+            values = _vector_lines(fh, label)
+        else:
+            values = _bulk_floats(text)
+            if values is None:
+                values = _vector_lines(text.split("\n"), label)
     if len(values) != n:
         raise ValueError(f"{label} file has {len(values)} values, expected {n}")
     vec = np.array(values, dtype=np.float64)
@@ -337,7 +370,7 @@ def cmd_run(args) -> int:
     print(f"wrote: {trace_path}")
     print(f"wrote: {summary_path}")
     if not converged:
-        if not math.isfinite(trace.final_disagreement):
+        if not np.isfinite(trace.final_state).all():
             print(
                 f"state diverged at step {trace.steps_run}: disagreement is not finite",
                 file=sys.stderr,
@@ -394,7 +427,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, ValueError) as exc:
+    except (GraphFormatError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array as long as the input's node count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (HypothesisViolation, NullSpaceError, MessageProtocolError) as exc:

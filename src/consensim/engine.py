@@ -129,11 +129,11 @@ class WeightedSystem:
 
 
 def build_system(graph: Digraph, w) -> WeightedSystem:
-    """Validate weights and precompute the edge arrays for a weighted system."""
+    """Validate weights and take the edge arrays from the graph's sorted edge array."""
     wv = as_vector(w, graph.n).copy()
     if wv.size and float(wv.min()) <= 0.0:
         raise ValueError("node weights must be strictly positive")
-    edges = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    edges = graph._edge_array
     # contiguous copies: the stepper indexes with them on every step
     listeners = edges[:, 0].copy()
     sources = edges[:, 1].copy()
@@ -252,7 +252,8 @@ class RunTrace:
     and the final step); states, disagreement, and conserved are parallel to
     it.  converged_at is the first step whose disagreement dropped below the
     tolerance, or None when the budget ran out or the state diverged first;
-    a diverged run ends at the first step whose disagreement is not finite.
+    a diverged run ends at the first step whose state has a non-finite entry.
+    A finite state whose disagreement overflows to inf has not diverged.
     conserved_drift is the spread of the conserved quantity over every step
     of the run, recorded or not, relative to max|x0| (nan when the conserved
     functional is unavailable or a conserved value is not finite).  The
@@ -291,8 +292,8 @@ def run(
     stepper: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RunTrace:
     """Iterate the consensus update until the disagreement max(x) - min(x)
-    falls below tol, stops being finite, or max_steps updates have been
-    applied.
+    falls below tol, the state diverges (an entry stops being finite), or
+    max_steps updates have been applied.
 
     Refuses to run an uncertified configuration (epsilon at or above the
     bound, or a graph that is not strongly connected), naming the failed
@@ -355,8 +356,13 @@ def run(
         while True:
             blk = buf[:size]
             dis = blk.max(axis=1) - blk.min(axis=1)
-            # converged, or diverged: no later step can bring the state back below tol
-            stops = np.flatnonzero((dis < tol) | ~np.isfinite(dis))
+            # converged, or diverged: no later step can bring the state back below
+            # tol.  A state has diverged when an entry is not finite, which only
+            # a state whose disagreement is not finite can have
+            diverged = ~np.isfinite(dis)
+            if diverged.any():
+                diverged[diverged] = ~np.isfinite(blk[diverged]).all(axis=1)
+            stops = np.flatnonzero((dis < tol) | diverged)
             last = int(stops[0]) if stops.size else size - 1
             if v is not None:
                 # fmin/fmax skip nan as the Python min/max below do
@@ -383,7 +389,8 @@ def run(
                         )
                     buf[i] = x
                     # the block's test on the same row, made before the next call
-                    if not (tol <= buf[i].max() - buf[i].min() < math.inf):
+                    dis_i = buf[i].max() - buf[i].min()
+                    if dis_i < tol or not (dis_i < math.inf or np.isfinite(buf[i]).all()):
                         size = i + 1
                         break
             else:
@@ -395,8 +402,8 @@ def run(
         conserved = [float(v @ row[1]) if v is not None else math.nan for row in rows]
 
     # a non-finite conserved value voids the drift; only the last one can
-    # be, since a non-finite v . x means a non-finite state, whose
-    # disagreement ends the loop
+    # be, since a non-finite v . x means a non-finite state, which ends the
+    # loop
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(conserved[-1]) else math.nan
     return RunTrace(
         steps=[row[0] for row in rows],

@@ -2,48 +2,115 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from operator import index
 from typing import Iterable
+
+import numpy as np
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
+# up to this node count the sort key i * n + j fits in intp
+_KEY_MAX_NODES = math.isqrt(_INTP_MAX)
+# a bulk-decoded index has at most this many digits, so it fits in intp
+_MAX_DIGITS = len(str(_INTP_MAX)) - 1
 
 
 class GraphFormatError(ValueError):
     """Raised when edge-list input violates the text format."""
 
 
-@dataclass(frozen=True)
+def _checked_pairs(n: int, edges: Iterable) -> set[tuple[int, int]]:
+    # one pair at a time in input order: the source of every Digraph error
+    pairs: set[tuple[int, int]] = set()
+    for i, j in (map(index, edge) for edge in edges):
+        if i == j:
+            raise ValueError(f"self-loop on node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+        if (i, j) in pairs:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        pairs.add((i, j))
+    return pairs
+
+
 class Digraph:
-    """Simple directed graph on nodes 0..n-1 with a set of edges.
+    """Simple directed graph on nodes 0..n-1, held as one sorted edge array.
 
     An edge (i, j) means node i listens to node j: j's state enters i's
     update.  ``n >= 1`` and isolated nodes are allowed (they never change
     state).  ``n`` and the endpoints must be integers (numpy's included), else
     TypeError.  Self-loops, out-of-range endpoints and pairs given twice (equal
     after ``operator.index``, as a list can hold) raise ValueError.
+
+    ``edges`` may be any iterable of pairs.  The graph stores them once, as
+    an (m, 2) intp array sorted by (listener, source); build_system and
+    is_strongly_connected read that array.  An (m, 2) integer array is
+    checked in bulk, any other iterable one pair at a time.  Either way the
+    first faulty pair in input order raises, with its checks in the order
+    above: a non-integer first, then a self-loop, an endpoint out of range,
+    a repeat.  ``edges`` reads back as a frozenset of int pairs, built on
+    first access.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("_n", "_edge_array", "_edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", index(self.n))
-        if self.n < 1:
+    def __init__(self, n, edges) -> None:
+        n = index(n)
+        if n < 1:
             raise ValueError("node count must be at least 1")
-        edges: set[tuple[int, int]] = set()
-        for i, j in (map(index, edge) for edge in self.edges):
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.n} nodes")
-            if (i, j) in edges:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            edges.add((i, j))
-        object.__setattr__(self, "edges", frozenset(edges))
+        if n > _INTP_MAX:
+            # numpy's words for an array of more entries than intp can count
+            raise ValueError("Maximum allowed dimension exceeded")
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+            # uint64 beyond intp wraps to a negative index, which the range check rejects
+            arr = edges.astype(np.intp, copy=False)
+        else:
+            arr = np.array(list(_checked_pairs(n, edges)), dtype=np.intp).reshape(-1, 2)
+        if arr.size:
+            i, j = arr[:, 0], arr[:, 1]
+            faulty = bool((i == j).any()) or int(arr.min()) < 0 or int(arr.max()) >= n
+            if not faulty:
+                # a stable sort runs through presorted stretches in linear time
+                if n <= _KEY_MAX_NODES:
+                    arr = arr[np.argsort(i * n + j, kind="stable")]
+                else:
+                    arr = arr[np.lexsort((j, i))]
+                faulty = bool((arr[1:] == arr[:-1]).all(axis=1).any())
+            if faulty:
+                _checked_pairs(n, edges)
+        else:
+            arr = np.empty((0, 2), dtype=np.intp)
+        self._n = n
+        self._edge_array = arr
+        self._edges: frozenset[tuple[int, int]] | None = None
+
+    @property
+    def n(self) -> int:
+        """Number of nodes."""
+        return self._n
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as a frozenset of (listener, source) int pairs."""
+        if self._edges is None:
+            self._edges = frozenset(zip(*self._edge_array.T.tolist()))
+        return self._edges
 
     @property
     def m(self) -> int:
         """Number of directed edges."""
-        return len(self.edges)
+        return len(self._edge_array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._edge_array, other._edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n!r}, edges={self.edges!r})"
 
 
 def _int_token(token: str, lineno: int) -> int:
@@ -53,22 +120,8 @@ def _int_token(token: str, lineno: int) -> int:
     return int(token)
 
 
-def parse_edge_list(source: str | Iterable[str]) -> Digraph:
-    """Parse the plain-text edge-list format into a :class:`Digraph`.
-
-    The format is line oriented:
-
-    * an optional header ``nodes <n>`` as the first meaningful line fixes the
-      node count (otherwise it is the largest index seen plus one);
-    * every other meaningful line is one directed edge, two whitespace
-      separated integers ``<from> <to>``;
-    * blank lines and lines starting with ``#`` are ignored.
-
-    Raises :class:`GraphFormatError` (with a line number) on malformed
-    tokens, self-loops, duplicate edges, or indices outside a declared
-    node count.
-    """
-    lines: Iterable[str] = source.splitlines() if isinstance(source, str) else source
+def _parse_lines(lines: Iterable[str]) -> Digraph:
+    # one line at a time: reads every accepted form, names every fault's line
     declared: int | None = None
     edges: set[tuple[int, int]] = set()
     max_index = -1
@@ -104,42 +157,121 @@ def parse_edge_list(source: str | Iterable[str]) -> Digraph:
     n = declared if declared is not None else max_index + 1
     if n < 1:
         raise GraphFormatError("no edges and no 'nodes <n>' header; node count is undefined")
-    return Digraph(n=n, edges=frozenset(edges))
+    return Digraph(n, edges)
+
+
+def _bulk_graph(text: str) -> Digraph | None:
+    # the common form, decoded without a Python object per edge: an optional
+    # first line "nodes <n>", then lines of two ASCII-digit tokens one space
+    # apart, each ending in a newline except perhaps the last.  None for any
+    # other text or any fault; the line loop then reads it.
+    declared = None
+    body = text
+    if text.startswith("nodes "):
+        head, _, body = text.partition("\n")
+        token = head[len("nodes ") :]
+        if not (len(token) <= _MAX_DIGITS and token.isascii() and token.isdigit()):
+            return None
+        declared = int(token)
+    if body and not body.endswith("\n"):
+        body += "\n"
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # the bytes below "0" delimit the tokens: they must alternate space and
+    # newline from a space, with 1 to _MAX_DIGITS digits before each
+    delimiters = np.flatnonzero(b < ord("0"))
+    gaps = np.diff(delimiters, prepend=-1)
+    if b.size and not (
+        b.max() <= ord("9")
+        and delimiters.size % 2 == 0
+        and (b[delimiters[0::2]] == ord(" ")).all()
+        and (b[delimiters[1::2]] == ord("\n")).all()
+        and 1 < gaps.min()
+        and gaps.max() <= _MAX_DIGITS + 1
+    ):
+        return None
+    pairs = np.fromstring(body, dtype=np.intp, sep=" ").reshape(-1, 2)
+    n = declared if declared is not None else int(pairs.max(initial=-1)) + 1
+    try:
+        return Digraph(n, pairs)
+    except ValueError:
+        return None
+
+
+def parse_edge_list(source: str | Iterable[str]) -> Digraph:
+    """Parse the plain-text edge-list format into a :class:`Digraph`.
+
+    The format is line oriented:
+
+    * an optional header ``nodes <n>`` as the first meaningful line fixes the
+      node count (otherwise it is the largest index seen plus one);
+    * every other meaningful line is one directed edge, two whitespace
+      separated integers ``<from> <to>``;
+    * blank lines and lines starting with ``#`` are ignored.
+
+    A str is split into lines by ``str.splitlines``; any other iterable
+    yields one line per item.  A str in the common form (the optional
+    header, then lines of two ASCII-digit tokens one space apart) is decoded
+    in bulk; everything else is read one line at a time.  Raises
+    :class:`GraphFormatError` on the first faulty line, naming it: malformed
+    tokens, self-loops, duplicate edges, or indices outside a declared node
+    count.
+    """
+    if isinstance(source, str):
+        graph = _bulk_graph(source)
+        if graph is not None:
+            return graph
+        source = source.splitlines()
+    return _parse_lines(source)
 
 
 def load_edge_list(path) -> Digraph:
-    """Read and parse an edge-list file."""
+    """Read and parse an edge-list file.
+
+    Its lines are split at newlines alone, after universal-newline
+    translation, as iterating over the file splits them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            # read line by line, a fault ahead of the undecodable chunk is reported first
+            fh.seek(0)
+            return _parse_lines(fh)
+    graph = _bulk_graph(text)
+    return graph if graph is not None else _parse_lines(text.split("\n"))
+
+
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    # a search from node 0 along the edges tail -> head, over CSR rows: the
+    # heads of u's edges are adjacent[start[u]:start[u + 1]]
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=n), out=start[1:])
+    adjacent = heads[np.argsort(tails, kind="stable")].tolist()
+    start = start.tolist()
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adjacent[start[u] : start[u + 1]]:
+            if not seen[v]:
+                seen[v] = 1
+                count += 1
+                stack.append(v)
+    return count == n
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node reaches every other along directed edges.
 
-    Runs two graph searches (forward from node 0, and from node 0 in the
-    reversed graph); both reaching all nodes is equivalent to the graph
+    Runs two graph searches from node 0, one along the edges and one along
+    the reversed edges; both reaching all nodes is equivalent to the graph
     having a single strongly connected component.
     """
     if g.n == 1:
         return True
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    rev: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        fwd[i].append(j)
-        rev[j].append(i)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = bytearray(g.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == g.n
-
-    return reaches_all(fwd) and reaches_all(rev)
+    listeners, sources = g._edge_array.T
+    return _reaches_all(g.n, listeners, sources) and _reaches_all(g.n, sources, listeners)

@@ -14,13 +14,14 @@ the dense route itself serves v only where GMRES is rejected.
 The dense iteration matrix P, built entrywise from the same ratios eps / w_i
 that matrix_stepper applies, lives here too; no library path builds it.
 The CLI's default initial state is checked against its original per-node
-splitmix64 loop in Python integers.
+splitmix64 loop in Python integers.  The edge-list and vector-file readers
+are checked against their original line loops, kept here as they were.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from consensim.engine import (
     epsilon_bound,
     matrix_stepper,
 )
-from consensim.graph import Digraph, is_strongly_connected
+from consensim.graph import Digraph, GraphFormatError, is_strongly_connected
 from consensim.linalg import NullSpaceError, as_vector, null_vector
 
 _PIVOT_RTOL = 1e-10
@@ -206,6 +207,83 @@ def default_initial_state_oracle(n: int, seed: int) -> np.ndarray:
         z ^= z >> 31
         out[k] = float(z >> 11) * 2.0**-53
     return out
+
+
+def _int_token(token: str, lineno: int) -> int:
+    # only plain nonnegative decimals; rejects signs, underscores, unicode digits
+    if not (token.isascii() and token.isdigit()):
+        raise GraphFormatError(f"line {lineno}: not a nonnegative integer: {token!r}")
+    return int(token)
+
+
+def parse_edge_list_oracle(source: str | Iterable[str]) -> Digraph:
+    """graph.parse_edge_list's original loop: one line, one set lookup at a time.
+
+    Its accepted inputs, node counts, edge sets and error messages (line
+    number included) are the contract the bulk reader keeps.
+    """
+    lines: Iterable[str] = source.splitlines() if isinstance(source, str) else source
+    declared: int | None = None
+    edges: set[tuple[int, int]] = set()
+    max_index = -1
+    header_slot_open = True
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header_slot_open:
+            header_slot_open = False
+            if tokens[0] == "nodes":
+                if len(tokens) != 2:
+                    raise GraphFormatError(f"line {lineno}: header must be 'nodes <n>'")
+                declared = _int_token(tokens[1], lineno)
+                if declared < 1:
+                    raise GraphFormatError(f"line {lineno}: node count must be at least 1")
+                continue
+        if len(tokens) != 2:
+            raise GraphFormatError(f"line {lineno}: expected '<from> <to>', got {line!r}")
+        i = _int_token(tokens[0], lineno)
+        j = _int_token(tokens[1], lineno)
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop on node {i}")
+        if declared is not None and (i >= declared or j >= declared):
+            raise GraphFormatError(
+                f"line {lineno}: edge ({i}, {j}) exceeds declared node count {declared}"
+            )
+        if (i, j) in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({i}, {j})")
+        edges.add((i, j))
+        max_index = max(max_index, i, j)
+    n = declared if declared is not None else max_index + 1
+    if n < 1:
+        raise GraphFormatError("no edges and no 'nodes <n>' header; node count is undefined")
+    return Digraph(n=n, edges=frozenset(edges))
+
+
+def read_vector_file_oracle(path, n: int, label: str) -> np.ndarray:
+    """cli._read_vector_file's original loop: one line, one float() at a time."""
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                # float() also reads digit separators and non-ASCII digits,
+                # which are no plain decimals; the edge-list parser rejects
+                # them too
+                if not line.isascii() or "_" in line:
+                    raise ValueError
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
+    if len(values) != n:
+        raise ValueError(f"{label} file has {len(values)} values, expected {n}")
+    vec = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{label} file has non-finite entries")
+    return vec
 
 
 def brute_force_iterate(p: np.ndarray, x0: np.ndarray, steps: int) -> np.ndarray:
@@ -423,7 +501,7 @@ def reference_run(
             if dis < tol:
                 converged_at = k
                 break
-            if not math.isfinite(dis):
+            if not math.isfinite(dis) and not np.isfinite(x).all():
                 # diverged: no later step can bring the state back below tol
                 break
             if k >= max_steps:
@@ -434,7 +512,7 @@ def reference_run(
 
     # min/max skip nan, so a non-finite conserved value must void the drift;
     # only the last one can be, since a non-finite v . x means a non-finite
-    # state, whose disagreement ends the loop
+    # state, which ends the loop
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(cons) else math.nan
     return RunTrace(
         steps=[row[0] for row in sampler.rows],

@@ -144,6 +144,30 @@ class TestCheck:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_node_count_too_large_to_allocate_exits_1(self, tmp_path, capsys):
+        # 10**12 + 1 nodes: numpy refuses the 7.28 TiB of unit weights at once
+        g = write(tmp_path, "huge.txt", "0 1000000000000\n1000000000000 0\n")
+        assert main(["check", "--graph", str(g)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 99999999999999999999\n", "error: Maximum allowed dimension exceeded\n"),
+            (
+                "nodes 3\n0 99999999999999999999\n",
+                "error: line 2: edge (0, 99999999999999999999) exceeds declared node count 3\n",
+            ),
+        ],
+        ids=["inferred", "declared"],
+    )
+    def test_an_index_beyond_int64_exits_1(self, text, message, tmp_path, capsys):
+        g = write(tmp_path, "g.txt", text)
+        assert main(["check", "--graph", str(g)]) == 1
+        assert capsys.readouterr() == ("", message)
+
     def test_missing_graph_file_exits_1(self, tmp_path, capsys):
         rc = main(["check", "--graph", str(tmp_path / "absent.txt")])
         assert rc == 1
@@ -413,6 +437,26 @@ class TestRun:
         assert rc == 3
         assert "state diverged at step 346:" in capsys.readouterr().err
         assert json.loads((out / "summary.json").read_text())["steps_run"] == 346
+
+    def test_a_finite_state_whose_spread_overflows_is_not_diverged(self, tmp_path, capsys):
+        # step 0's spread max - min overflows to inf, its entries do not; the
+        # update first overflows at step 1
+        g = write(tmp_path, "pair.txt", "0 1\n1 0\n")
+        x0 = write(tmp_path, "x0.txt", "1.7e308\n-1.7e308\n")
+        rc = main(["run", "--graph", str(g), "--x0", str(x0), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "state diverged at step 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_path_whose_spread_overflows_converges(self, command, tmp_path, capsys):
+        # no edge joins the extremes 0 and 2, so no update overflows
+        g = write(tmp_path, "path.txt", "0 1\n1 0\n1 2\n2 1\n")
+        x0 = write(tmp_path, "x0.txt", "1.7e308\n0\n-1.7e308\n")
+        rc = main([command, "--graph", str(g), "--x0", str(x0), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "converged_at: none" not in out and "converged: false" not in out
 
     @pytest.mark.parametrize("mode", ["matrix", "agents"])
     @pytest.mark.parametrize("max_steps", [1, 255, 256, 257, 511])

@@ -488,6 +488,27 @@ class TestRun:
             x = step(x)
         assert math.isfinite(float(x.max() - x.min()))
 
+    def test_a_finite_state_whose_spread_overflows_is_not_diverged(self):
+        # no edge of the path 0 - 1 - 2 joins its extremes, so no update
+        # overflows; the spread max - min is inf until step 2
+        system = build_system(parse_edge_list("0 1\n1 0\n1 2\n2 1\n"), np.ones(3))
+        x0 = [1.7e308, 0.0, -1.7e308]
+        step = matrix_stepper(system, default_epsilon(system))
+        for stepper in [None, lambda x: step(x)]:
+            trace = run(system, x0, stepper=stepper)
+            assert trace.disagreement[0] == math.inf
+            assert trace.converged_at == trace.steps_run > 2
+            assert_same_run(trace, reference_run(system, x0))
+
+    def test_a_run_diverges_at_its_first_non_finite_state(self):
+        # step 0's spread overflows, but its entries are finite; step 1's are not
+        system = build_system(parse_edge_list("0 1\n1 0\n"), np.ones(2))
+        step = matrix_stepper(system, default_epsilon(system))
+        for stepper in [None, lambda x: step(x)]:
+            trace = run(system, [1.7e308, -1.7e308], stepper=stepper)
+            assert (trace.steps_run, trace.converged_at) == (1, None)
+            assert not np.isfinite(trace.final_state).all()
+
     def test_diverged_run_reports_nan_conserved_drift(self):
         # min/max skip a nan v . x; the spread of the finite prefix is no drift
         system = build_system(THREE_CYCLE, np.ones(3))
