@@ -34,7 +34,7 @@ from .engine import (
     predict,
     run,
 )
-from .graph import GraphFormatError, load_edge_list
+from .graph import GraphFormatError, _meaningful_lines, _read_text_file, load_edge_list
 from .linalg import NullSpaceError
 
 EXIT_OK = 0
@@ -136,10 +136,7 @@ def _bulk_floats(text: str) -> list[float] | None:
 
 def _vector_lines(lines, label: str) -> list[float]:
     values: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _meaningful_lines(lines):
         try:
             # float() also reads digit separators and non-ASCII digits,
             # which are no plain decimals; the edge-list parser rejects
@@ -153,17 +150,7 @@ def _vector_lines(lines, label: str) -> list[float]:
 
 
 def _read_vector_file(path, n: int, label: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            # read line by line, a faulty line ahead of the undecodable chunk is reported first
-            fh.seek(0)
-            values = _vector_lines(fh, label)
-        else:
-            values = _bulk_floats(text)
-            if values is None:
-                values = _vector_lines(text.split("\n"), label)
+    values = _read_text_file(path, _bulk_floats, lambda lines: _vector_lines(lines, label))
     if len(values) != n:
         raise ValueError(f"{label} file has {len(values)} values, expected {n}")
     vec = np.array(values, dtype=np.float64)

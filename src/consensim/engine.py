@@ -148,9 +148,7 @@ def epsilon_bound(system: WeightedSystem) -> float:
     fixed).
     """
     active = system.d > 0
-    if not bool(active.any()):
-        return math.inf
-    return float(np.min(system.w[active] / system.d[active]))
+    return float(np.min(system.w[active] / system.d[active], initial=math.inf))
 
 
 def default_epsilon(system: WeightedSystem) -> float:

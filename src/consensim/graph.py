@@ -1,10 +1,14 @@
-"""Directed graphs, edge-list parsing, and strong connectivity."""
+"""Directed graphs, edge-list parsing, and strong connectivity.
+
+``_read_text_file`` reads the graph, weights and x0 files by the same rules,
+and ``_meaningful_lines`` skips their blank lines and ``#`` lines.
+"""
 
 from __future__ import annotations
 
 import math
 from operator import index
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -78,8 +82,6 @@ class Digraph:
                 faulty = bool((arr[1:] == arr[:-1]).all(axis=1).any())
             if faulty:
                 _checked_pairs(n, edges)
-        else:
-            arr = np.empty((0, 2), dtype=np.intp)
         self._n = n
         self._edge_array = arr
         self._edges: frozenset[tuple[int, int]] | None = None
@@ -120,16 +122,34 @@ def _int_token(token: str, lineno: int) -> int:
     return int(token)
 
 
+def _meaningful_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    # (line number from 1, stripped line) for each line neither blank nor a # comment
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_text_file(path, bulk: Callable, loop: Callable):
+    # bulk(whole text), or loop(lines) when bulk returns None or the file does not decode
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            # read line by line, a fault ahead of the undecodable chunk is reported first
+            fh.seek(0)
+            return loop(fh)
+    result = bulk(text)
+    return result if result is not None else loop(text.split("\n"))
+
+
 def _parse_lines(lines: Iterable[str]) -> Digraph:
     # one line at a time: reads every accepted form, names every fault's line
     declared: int | None = None
     edges: set[tuple[int, int]] = set()
     max_index = -1
     header_slot_open = True
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _meaningful_lines(lines):
         tokens = line.split()
         if header_slot_open:
             header_slot_open = False
@@ -232,15 +252,7 @@ def load_edge_list(path) -> Digraph:
     Its lines are split at newlines alone, after universal-newline
     translation, as iterating over the file splits them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            # read line by line, a fault ahead of the undecodable chunk is reported first
-            fh.seek(0)
-            return _parse_lines(fh)
-    graph = _bulk_graph(text)
-    return graph if graph is not None else _parse_lines(text.split("\n"))
+    return _read_text_file(path, _bulk_graph, _parse_lines)
 
 
 def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
@@ -271,7 +283,5 @@ def is_strongly_connected(g: Digraph) -> bool:
     the reversed edges; both reaching all nodes is equivalent to the graph
     having a single strongly connected component.
     """
-    if g.n == 1:
-        return True
     listeners, sources = g._edge_array.T
     return _reaches_all(g.n, listeners, sources) and _reaches_all(g.n, sources, listeners)

@@ -124,12 +124,16 @@ class TestCheck:
         assert "predicted_alpha: 1.0" in out
         assert "hypotheses: ok" in out
 
-    def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
-        g = write(tmp_path, "arc.txt", "0 1\n")
+    @pytest.mark.parametrize(
+        "text, bound", [("0 1\n", "1.0"), ("nodes 3\n", "inf")], ids=["arc", "edgeless"]
+    )
+    def test_not_strongly_connected_exits_2(self, tmp_path, capsys, text, bound):
+        g = write(tmp_path, "arc.txt", text)
         rc = main(["check", "--graph", str(g)])
         out = capsys.readouterr().out
         assert rc == 2
         assert "strongly_connected: false" in out
+        assert f"epsilon_bound: {bound}\n" in out
         assert "not strongly connected" in out
 
     def test_epsilon_at_bound_violates_hypotheses(self, triangle, capsys):
@@ -773,6 +777,13 @@ class TestVectorFileParsing:
         assert rc == 1
         label = flag.removeprefix("--")
         assert f"{label} file line 2: not a number: {entry!r}" in capsys.readouterr().err
+
+    def test_undecodable_x0_file_exits_1(self, tmp_path, triangle, capsys):
+        x0 = tmp_path / "bad.txt"
+        x0.write_bytes(b"0.5\n\xff\n0.25\n")
+        assert main(["check", "--graph", str(triangle), "--x0", str(x0)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 'utf-8' codec can't decode ")
 
     def test_non_finite_rejected(self, tmp_path, triangle, capsys):
         x0 = write(tmp_path, "x0.txt", "1\ninf\n3\n")

@@ -40,9 +40,31 @@ class TestDigraph:
         with pytest.raises(ValueError, match="at least 1"):
             Digraph(n=0, edges=frozenset())
 
-    def test_single_node_no_edges_is_valid(self):
-        g = Digraph(n=1, edges=frozenset())
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            frozenset(),
+            [],
+            np.empty((0, 2), dtype=np.int32),
+            np.empty((0, 2), dtype=np.uint8),
+            np.array([]),
+            np.empty((0, 3), dtype=np.intp),
+        ],
+        ids=["frozenset", "list", "int32-array", "uint8-array", "1-d-array", "3-column-array"],
+    )
+    def test_single_node_no_edges_is_valid(self, edges):
+        g = Digraph(n=1, edges=edges)
         assert g.n == 1 and g.m == 0
+        assert g._edge_array.shape == (0, 2) and g._edge_array.dtype == np.intp
+
+    def test_equality_hash_and_repr(self):
+        g = Digraph(2, [(0, 1)])
+        assert (g == "x") is False
+        same = [Digraph(2, frozenset({(0, 1)})), g, Digraph(2, np.array([[0, 1]], dtype=np.int32))]
+        assert all(h == g and hash(h) == hash(g) for h in same)
+        assert len(set(same)) == 1
+        assert Digraph(3, [(0, 1)]) != g and Digraph(2, [(1, 0)]) != g
+        assert repr(g) == "Digraph(n=2, edges=frozenset({(0, 1)}))"
 
     @pytest.mark.parametrize(
         "n, edges",
@@ -181,8 +203,11 @@ class TestDegreesAndLaplacian:
 
 
 class TestStrongConnectivity:
-    def test_single_node(self):
-        assert is_strongly_connected(Digraph(n=1, edges=frozenset()))
+    @pytest.mark.parametrize(
+        "g", [Digraph(n=1, edges=frozenset()), parse_edge_list("nodes 1\n")], ids=["set", "file"]
+    )
+    def test_single_node(self, g):
+        assert is_strongly_connected(g)
 
     def test_three_cycle(self):
         assert is_strongly_connected(parse_edge_list("0 1\n1 2\n2 0\n"))

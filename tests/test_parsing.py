@@ -168,16 +168,26 @@ def test_crlf_header_comment_blank_and_no_final_newline(work_dir):
     assert outcome(parse_edge_list, text) == (g.n, g.edges, g.m)
 
 
-def test_a_fault_ahead_of_undecodable_bytes_is_reported(work_dir):
+@pytest.mark.parametrize(
+    "read, head, line, error, message",
+    [
+        (load_edge_list, b"0 1\n1 1\n", b"0 2\n", GraphFormatError,
+         r"^line 2: self-loop on node 1$"),
+        (lambda path: _read_vector_file(path, 5002, "weights"), b"1\nx\n", b"1\n", ValueError,
+         r"^weights file line 2: not a number: 'x'$"),
+    ],
+    ids=["graph", "weights"],
+)
+def test_a_fault_ahead_of_undecodable_bytes_is_reported(read, head, line, error, message, work_dir):
     # a file read line by line decodes one chunk at a time, so the fault on
     # line 2 is met before the bad byte past the first 8 KiB
     path = work_dir / "late-bad-byte.txt"
-    path.write_bytes(b"0 1\n1 1\n" + b"0 2\n" * 4000 + b"\xff\n")
-    with pytest.raises(GraphFormatError, match=r"^line 2: self-loop on node 1$"):
-        load_edge_list(path)
-    path.write_bytes(b"0 1\n\xff\n")
+    path.write_bytes(head + line * 5000 + b"\xff\n")
+    with pytest.raises(error, match=message):
+        read(path)
+    path.write_bytes(line + b"\xff\n")
     with pytest.raises(UnicodeDecodeError):
-        load_edge_list(path)
+        read(path)
 
 
 def test_bulk_read_matches_the_loop_on_a_larger_graph():
