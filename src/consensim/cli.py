@@ -26,6 +26,7 @@ from .engine import (
     HypothesisViolation,
     RunTrace,
     WeightedSystem,
+    _step_size,
     build_system,
     certify,
     default_epsilon,
@@ -75,10 +76,8 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.mode not in ("matrix", "agents"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.epsilon is not None and (
-            not math.isfinite(self.epsilon) or self.epsilon <= 0.0
-        ):
-            raise ValueError("epsilon must be positive and finite")
+        if self.epsilon is not None:
+            _step_size(self.epsilon)
 
 
 def _config_from_args(args) -> ExperimentConfig:

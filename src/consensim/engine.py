@@ -37,7 +37,7 @@ class HypothesisViolation(RuntimeError):
     """A convergence-theorem hypothesis required by the operation does not hold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSystem:
     """A digraph with positive node weights and the facts that depend on them alone.
 
@@ -183,7 +183,7 @@ def certify(system: WeightedSystem, epsilon: float) -> list[str]:
     return failed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPrediction:
     """Closed-form prediction for a certified system.
 
@@ -214,9 +214,8 @@ def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> Spectra
     if v is None:
         raise HypothesisViolation("graph is not strongly connected")
     alpha = float(v @ x)
-    bound = epsilon_bound(system)
-    eps = float(epsilon) if epsilon is not None else default_epsilon(system)
-    if not (0.0 < eps < bound):
+    eps = None if epsilon is None else float(epsilon)
+    if eps is None or not 0.0 < eps < epsilon_bound(system):
         eps = default_epsilon(system)
     rho = float(v @ matrix_stepper(system, eps)(v)) / float(v @ v)
     return SpectralPrediction(v=v, alpha=alpha, rho_estimate=rho)
@@ -242,7 +241,7 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[[np.ndarr
     return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     """Recorded trajectory of a consensus run.
 
@@ -386,9 +385,8 @@ def run(
                             f"stepper returned shape {np.shape(x)}, expected {(system.n,)}"
                         )
                     buf[i] = x
-                    # the block's test on the same row, made before the next call
-                    dis_i = buf[i].max() - buf[i].min()
-                    if dis_i < tol or not (dis_i < math.inf or np.isfinite(buf[i]).all()):
+                    # end the block on a row the block test may stop at, before the next call
+                    if not tol <= buf[i].max() - buf[i].min() < math.inf:
                         size = i + 1
                         break
             else:

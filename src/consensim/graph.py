@@ -135,10 +135,15 @@ def _read_text_file(path, bulk: Callable, loop: Callable):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
-        except UnicodeDecodeError:
+        except UnicodeDecodeError as exc:
             # read line by line, a fault ahead of the undecodable chunk is reported first
             fh.seek(0)
-            return loop(fh)
+            try:
+                return loop(fh)
+            except UnicodeDecodeError:
+                # the line reader counts from its chunk; the whole-file read, from the file's start
+                exc.reason += f" in {path}"
+                raise exc from None
     result = bulk(text)
     return result if result is not None else loop(text.split("\n"))
 

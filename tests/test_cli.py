@@ -785,8 +785,58 @@ class TestVectorFileParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: 'utf-8' codec can't decode ")
 
+    def test_undecodable_byte_past_8_kib_is_reported_at_its_offset_in_the_file(
+        self, tmp_path, triangle, capsys
+    ):
+        # the line reader decodes 8 KiB chunks; the offset counts from the file's start
+        x0 = tmp_path / "bad.txt"
+        x0.write_bytes(b"0.5\n" * 3003 + b"0.2\xff\n")
+        assert main(["check", "--graph", str(triangle), "--x0", str(x0)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 12015: "
+            f"invalid start byte in {x0}\n"
+        )
+
     def test_non_finite_rejected(self, tmp_path, triangle, capsys):
         x0 = write(tmp_path, "x0.txt", "1\ninf\n3\n")
         rc = main(["run", "--graph", str(triangle), "--x0", str(x0), "--out", str(tmp_path)])
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestKnownDefects:
+    """Defects ROADMAP lists as open; the change that mends one turns its xfail into a test."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 12, defect 1: the dense route rejects the certified n = 100 chain",
+    )
+    def test_the_n_100_chain_is_certified_with_its_true_v_min(self, tmp_path, capsys):
+        # edges i -> i + 1, i -> i - 1 and i -> i - 2 without wraparound
+        edges = [(i, i + 1) for i in range(99)] + [(i, i - 1) for i in range(1, 100)]
+        edges += [(i, i - 2) for i in range(2, 100)]
+        g = write(tmp_path, "chain.txt", "".join(f"{i} {j}\n" for i, j in edges))
+        rc = main(["check", "--graph", str(g)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        # GTH elimination gives 1.15455e-38; a positive but wrong result cannot pass
+        v_min = next(line for line in lines if line.startswith("v_min: "))
+        assert float(v_min.split()[1]) == pytest.approx(1.155e-38, rel=0.01)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 12, defect 2: a graph GMRES rejects takes the O(n^2) dense route",
+    )
+    def test_check_on_the_back_edge_cycle_builds_no_dense_matrix(self, tmp_path, capsys):
+        # one dense 2000 x 2000 float64 matrix is 32 MB
+        g = write(tmp_path, "cycle.txt", edge_text(back_edge_cycle(2000)))
+        tracemalloc.start()
+        try:
+            rc = main(["check", "--graph", str(g)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8_000_000

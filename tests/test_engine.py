@@ -6,6 +6,7 @@ import pytest
 
 import consensim.engine as engine
 from consensim.agents import agent_stepper
+from consensim.cli import default_initial_state
 from consensim.engine import (
     HypothesisViolation,
     build_system,
@@ -490,7 +491,7 @@ class TestRun:
 
     def test_a_finite_state_whose_spread_overflows_is_not_diverged(self):
         # no edge of the path 0 - 1 - 2 joins its extremes, so no update
-        # overflows; the spread max - min is inf until step 2
+        # overflows; the spread max - min is inf at step 0 only
         system = build_system(parse_edge_list("0 1\n1 0\n1 2\n2 1\n"), np.ones(3))
         x0 = [1.7e308, 0.0, -1.7e308]
         step = matrix_stepper(system, default_epsilon(system))
@@ -745,6 +746,27 @@ class TestBlockedLoop:
         assert trace.steps_run == ref.steps_run
         assert trace.final_state.tobytes() == ref.final_state.tobytes()
 
+    def test_finite_rows_whose_spread_overflows_end_a_block_without_a_stop(self):
+        # steps 1 and 3 are finite with an infinite spread: each ends its block,
+        # the block test stops at neither, and the next block starts at the
+        # next step; the stepper is called once per step, on the state it
+        # last returned, and never past the stopping step
+        system = build_system(SYMMETRIC_PAIR, np.ones(2))
+        script = [[1.7e308, -1.7e308], [5e307, -5e307], [1.7e308, -1.7e308], [0.0, 0.0]]
+        given, returned = [], []
+
+        def scripted(x):
+            given.append(x)
+            returned.append(np.array(script[len(returned)]))
+            return returned[-1]
+
+        trace = run(system, [1.0, 0.0], stepper=scripted)
+        assert trace.steps == [0, 1, 2, 3, 4]
+        assert trace.disagreement == [1.0, math.inf, 1e308, math.inf, 0.0]
+        assert (trace.converged_at, trace.steps_run) == (4, 4)
+        assert given[0].tolist() == [1.0, 0.0]
+        assert len(given) == 4 and all(a is b for a, b in zip(given[1:], returned))
+
     @pytest.mark.parametrize("snapshot_limit", [2, 3, 7, 1000])
     def test_long_run_matches_the_step_by_step_oracle(self, snapshot_limit):
         # several full 256-row blocks, with the sampler's stride doubling inside them
@@ -838,3 +860,66 @@ class TestUndirectedAlpha:
         g = random_undirected_digraph(rng, n_hi=10)
         system = build_system(g, random_weights(rng, g.n))
         assert predict(system, np.full(g.n, 4.25)).alpha == pytest.approx(4.25, abs=1e-12)
+
+
+class TestRecordsCompareByIdentity:
+    """A system, a prediction and a trace hold arrays, so they compare and hash by identity."""
+
+    def test_records_from_equal_inputs_compare_unequal(self):
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        twin = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        x0 = [6.0, 0.0, 0.0]
+        assert system == system and system != twin
+        assert predict(system, x0) != predict(system, x0)
+        assert run(system, x0) != run(system, x0)
+
+    def test_records_hash_into_a_set(self):
+        system = build_system(THREE_CYCLE, [1.0, 2.0, 3.0])
+        records = [system, predict(system, [6.0, 0.0, 0.0]), run(system, [6.0, 0.0, 0.0])]
+        assert len({*records, *records}) == 3
+
+
+FIVE_CYCLE = Digraph(n=5, edges=frozenset((i, (i + 1) % 5) for i in range(5)))
+
+
+class TestKnownDefects:
+    """Defects ROADMAP lists as open; the change that mends one turns its xfail into a test."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1, case 1: a stalled run spins its whole budget",
+    )
+    def test_a_stalled_five_cycle_stops_before_its_budget(self):
+        # the disagreement stalls at 1.86e-9, above the default tol
+        trace = run(build_system(FIVE_CYCLE, np.ones(5)), [1e7, 0, 0, 0, 0], max_steps=5000)
+        assert trace.steps_run < 5000
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1, case 2: a tol below one ulp is never reached",
+    )
+    def test_a_triangle_stalled_at_one_ulp_stops_before_its_budget(self):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        trace = run(system, default_initial_state(3, 0), tol=1e-300, max_steps=5000)
+        assert trace.steps_run < 5000
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 7: run keeps up to snapshot_limit full states",
+    )
+    def test_a_run_at_n_5000_keeps_no_full_states(self):
+        # 3,327 steps and 833 recorded rows of 40 KB each
+        rng = np.random.default_rng(0)
+        system = build_system(ring_with_chords(rng, 5000, 3), random_weights(rng, 5000, 0.1, 10.1))
+        x0 = default_initial_state(system.n, 0)
+        system.v  # computed once per system, before the measurement
+        tracemalloc.start()
+        try:
+            run(system, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

@@ -190,6 +190,29 @@ def test_a_fault_ahead_of_undecodable_bytes_is_reported(read, head, line, error,
         read(path)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [load_edge_list, lambda path: _read_vector_file(path, 1, "weights")],
+    ids=["graph", "weights"],
+)
+@pytest.mark.parametrize(
+    "tail, reason",
+    [
+        (b"\xff\n", "byte 0xff in position 12003: invalid start byte"),
+        (b"\xe2\x82", "bytes in position 12003-12004: unexpected end of data"),
+    ],
+    ids=["bad-byte", "cut-sequence"],
+)
+def test_undecodable_bytes_are_reported_at_their_offset_in_the_file(read, tail, reason, work_dir):
+    # one comment line of 12,003 bytes: the line reader decodes 8 KiB chunks,
+    # and the offset counts from the file's start
+    path = work_dir / "late-bad-byte.txt"
+    path.write_bytes(b"# " + b"-" * 12000 + b"\n" + tail)
+    with pytest.raises(UnicodeDecodeError) as info:
+        read(path)
+    assert str(info.value) == f"'utf-8' codec can't decode {reason} in {path}"
+
+
 def test_bulk_read_matches_the_loop_on_a_larger_graph():
     rng = np.random.default_rng(3)
     n = 300
