@@ -23,6 +23,7 @@ from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TOL,
+    _MAX_INLINE_STATE,
     HypothesisViolation,
     RunTrace,
     WeightedSystem,
@@ -43,10 +44,6 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISMATCH = 4
-
-# above this many nodes, check and trace.csv print a vector's extremes, not
-# the vector, and summary.json leaves out final_state
-_MAX_INLINE_STATE = 64
 
 
 @dataclass(frozen=True)
@@ -114,15 +111,11 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-# the bytes of a plain decimal, with sign, point and exponent, and the newline
-_NUMBER_BYTES = b"0123456789+-.eE\n"
-
-
 def _bulk_floats(text: str) -> list[float] | None:
-    # the common form: one plain decimal on each line and nothing else.  None
-    # for any other text (float("") rejects a blank line); the line loop then
-    # reads it, with the same float() on the same lines
-    if not text.isascii() or text.encode("ascii").translate(None, _NUMBER_BYTES):
+    # the common form: one number on each line and nothing else.  None for what
+    # the line loop declines ahead of its float(), and for any text float()
+    # rejects (a blank or # line); the loop then reads it, with the same float()
+    if not text.isascii() or "_" in text:
         return None
     lines = text.split("\n")
     if lines[-1] == "":
@@ -231,9 +224,7 @@ def _load_problem(config: ExperimentConfig) -> tuple[WeightedSystem, np.ndarray,
     return system, x0, eps
 
 
-def cmd_check(args) -> int:
-    config = _config_from_args(args)
-    system, x0, eps = _load_problem(config)
+def cmd_check(config, system, x0, eps) -> int:
     problems = certify(system, eps)
     d = system.d
     print(f"nodes: {system.n}")
@@ -263,23 +254,14 @@ def cmd_check(args) -> int:
 
 
 def _write_trace_csv(path: Path, trace: RunTrace, n: int) -> None:
-    full = n <= _MAX_INLINE_STATE
+    if n <= _MAX_INLINE_STATE:
+        columns, tails = [f"x_{i}" for i in range(n)], trace.states
+    else:
+        columns, tails = ["x_min", "x_max"], zip(trace.x_min, trace.x_max)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if full:
-            header = ["step", "disagreement", "conserved"] + [f"x_{i}" for i in range(n)]
-        else:
-            header = ["step", "disagreement", "conserved", "x_min", "x_max"]
-        fh.write(",".join(header) + "\n")
-        for step, x, dis, cons in zip(
-            trace.steps, trace.states, trace.disagreement, trace.conserved
-        ):
-            row = [str(step), _fmt(dis), _fmt(cons)]
-            if full:
-                row.extend(_fmt(xi) for xi in x)
-            else:
-                row.append(_fmt(x.min()))
-                row.append(_fmt(x.max()))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["step", "disagreement", "conserved", *columns]) + "\n")
+        for step, dis, cons, tail in zip(trace.steps, trace.disagreement, trace.conserved, tails):
+            fh.write(",".join([str(step), _fmt(dis), _fmt(cons), *map(_fmt, tail)]) + "\n")
 
 
 def _opt_float(value: float) -> float | None:
@@ -297,7 +279,7 @@ def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str
         "undirected": system.undirected,
         "epsilon": float(eps),
         "epsilon_bound": _opt_float(epsilon_bound(system)),
-        "certified": not certify(system, eps),
+        "certified": trace.certified,
         "predicted_alpha": _opt_float(trace.predicted_alpha),
         "v": [float(x) for x in v] if v is not None else None,
         "v_route": system.v_route,
@@ -330,9 +312,7 @@ def _execute_run(
         raise HypothesisViolation(f"{exc}; pass --allow-uncertified to run anyway") from None
 
 
-def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    system, x0, eps = _load_problem(config)
+def cmd_run(config, system, x0, eps) -> int:
     stepper = agent_stepper(system, x0, eps) if config.mode == "agents" else None
     trace = _execute_run(config, system, x0, eps, stepper)
 
@@ -371,9 +351,7 @@ class _Divergence(Exception):
     """The two modes' states first differ; the message names the step and node."""
 
 
-def cmd_compare(args) -> int:
-    config = _config_from_args(args)
-    system, x0, eps = _load_problem(config)
+def cmd_compare(config, system, x0, eps) -> int:
     step_matrix = matrix_stepper(system, eps)
     step_agents = agent_stepper(system, x0, eps)
     steps = 0
@@ -412,7 +390,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        config = _config_from_args(args)
+        return args.func(config, *_load_problem(config))
     except (GraphFormatError, OSError, ValueError, MemoryError) as exc:
         # MemoryError: numpy refuses an array as long as the input's node count
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,10 @@ FALLBACK_EPSILON = 1.0
 _BLOCK_ROWS = 256
 _BLOCK_FLOATS = 32768
 
+# above this many nodes a run keeps no recorded states but the final one, and
+# the outputs print a vector's extremes, not the vector
+_MAX_INLINE_STATE = 64
+
 
 class HypothesisViolation(RuntimeError):
     """A convergence-theorem hypothesis required by the operation does not hold."""
@@ -246,31 +250,34 @@ class RunTrace:
     """Recorded trajectory of a consensus run.
 
     steps holds the recorded step indices (downsampled, always including 0
-    and the final step); states, disagreement, and conserved are parallel to
-    it.  converged_at is the first step whose disagreement dropped below the
-    tolerance, or None when the budget ran out or the state diverged first;
-    a diverged run ends at the first step whose state has a non-finite entry.
-    A finite state whose disagreement overflows to inf has not diverged.
-    conserved_drift is the spread of the conserved quantity over every step
-    of the run, recorded or not, relative to max|x0| (nan when the conserved
-    functional is unavailable or a conserved value is not finite).  The
-    drift's extremes come from one matrix-vector product per block of
-    steps, so they can differ from a per-step v . x in the last bits; each
-    recorded conserved value is the per-step v . x of its state.
+    and the final step); disagreement, conserved, x_min and x_max are
+    parallel to it, and so is states up to _MAX_INLINE_STATE nodes (empty
+    above).  final_state is the state at steps_run; certified says whether
+    the hypotheses held.  converged_at is the first step whose disagreement
+    dropped below the tolerance, or None when the budget ran out or the
+    state diverged first; a diverged run ends at the first step whose state
+    has a non-finite entry.  A finite state whose disagreement overflows to
+    inf has not diverged.  conserved_drift is the spread of the conserved
+    quantity over every step of the run, recorded or not, relative to
+    max|x0| (nan when the conserved functional is unavailable or a
+    conserved value is not finite).  The drift's extremes come from one
+    matrix-vector product per block of steps, so they can differ from a
+    per-step v . x in the last bits; each recorded conserved value is the
+    per-step v . x of its state.
     """
 
     steps: list[int]
     states: list[np.ndarray]
     disagreement: list[float]
     conserved: list[float]
+    x_min: list[float]
+    x_max: list[float]
+    final_state: np.ndarray
     predicted_alpha: float
     converged_at: int | None
     steps_run: int
     conserved_drift: float
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    certified: bool
 
     @property
     def final_disagreement(self) -> float:
@@ -335,10 +342,18 @@ def run(
     x0_scale = float(np.max(np.abs(x)))
     drift_denom = x0_scale if x0_scale > 0.0 else 1.0
 
-    # (step, state, disagreement) rows on the multiples of one power-of-two
-    # stride from 0; at snapshot_limit rows every second one goes and the
-    # stride doubles, which leaves room for the final step
-    rows: list[tuple[int, np.ndarray, float]] = []
+    keep_states = system.n <= _MAX_INLINE_STATE
+
+    def row(step: int, r: int) -> tuple:
+        # block row r as the outputs print it, v . x taken per row, and its state up to the cut
+        cons = float(v @ blk[r]) if v is not None else math.nan
+        state = blk[r].copy() if keep_states else None
+        return step, float(dis[r]), cons, float(lo[r]), float(hi[r]), state
+
+    # rows on the multiples of one power-of-two stride from 0; at
+    # snapshot_limit rows every second one goes and the stride doubles,
+    # which leaves room for the final step
+    rows: list[tuple] = []
     stride = 1
     cons_min = math.inf
     cons_max = -math.inf
@@ -352,7 +367,8 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             blk = buf[:size]
-            dis = blk.max(axis=1) - blk.min(axis=1)
+            hi, lo = blk.max(axis=1), blk.min(axis=1)
+            dis = hi - lo
             # converged, or diverged: no later step can bring the state back below
             # tol.  A state has diverged when an entry is not finite, which only
             # a state whose disagreement is not finite can have
@@ -368,7 +384,7 @@ def run(
                 cons_max = max(cons_max, float(np.fmax.reduce(cons)))
             step = -(-k // stride) * stride
             while step <= k + last:
-                rows.append((step, blk[step - k].copy(), float(dis[step - k])))
+                rows.append(row(step, step - k))
                 if len(rows) == snapshot_limit:
                     rows = rows[::2]
                     stride *= 2
@@ -394,20 +410,24 @@ def run(
                     x = stepper(x)
                     buf[i] = x
         if rows[-1][0] != k + last:
-            rows.append((k + last, blk[last].copy(), float(dis[last])))
-        conserved = [float(v @ row[1]) if v is not None else math.nan for row in rows]
+            rows.append(row(k + last, last))
+    steps, disagreement, conserved, x_min, x_max, states = map(list, zip(*rows))
 
     # a non-finite conserved value voids the drift; only the last one can
     # be, since a non-finite v . x means a non-finite state, which ends the
     # loop
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(conserved[-1]) else math.nan
     return RunTrace(
-        steps=[row[0] for row in rows],
-        states=[row[1] for row in rows],
-        disagreement=[row[2] for row in rows],
+        steps=steps,
+        states=states if keep_states else [],
+        disagreement=disagreement,
         conserved=conserved,
+        x_min=x_min,
+        x_max=x_max,
+        final_state=blk[last].copy(),
         predicted_alpha=alpha,
         converged_at=k + last if dis[last] < tol else None,
         steps_run=k + last,
         conserved_drift=drift,
+        certified=not failed,
     )

@@ -29,10 +29,12 @@ from consensim.engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TOL,
+    _MAX_INLINE_STATE,
     RunTrace,
     WeightedSystem,
     _step_size,
     build_system,
+    certify,
     default_epsilon,
     epsilon_bound,
     matrix_stepper,
@@ -422,11 +424,14 @@ def power_iteration(m, x0, max_iter: int = 10_000, tol: float = 1e-13) -> PowerI
 
 
 def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
-    """The recorded rows, stopping step and step count agree bit for bit."""
+    """The recorded rows, final state, stopping step and step count agree bit for bit."""
     assert trace.steps == ref.steps
     assert [x.tobytes() for x in trace.states] == [x.tobytes() for x in ref.states]
-    assert np.array(trace.disagreement).tobytes() == np.array(ref.disagreement).tobytes()
-    assert np.array(trace.conserved).tobytes() == np.array(ref.conserved).tobytes()
+    for column in ("disagreement", "conserved", "x_min", "x_max"):
+        got, want = getattr(trace, column), getattr(ref, column)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), column
+    assert trace.final_state.tobytes() == ref.final_state.tobytes()
+    assert trace.certified == ref.certified
     assert trace.converged_at == ref.converged_at
     assert trace.steps_run == ref.steps_run
 
@@ -437,12 +442,12 @@ class _ReferenceSampler:
     def __init__(self, limit: int):
         self.limit = max(2, int(limit))
         self.stride = 1
-        self.rows: list[tuple[int, np.ndarray, float, float]] = []
+        self.rows: list[tuple[int, np.ndarray, float, float, float, float]] = []
 
     def offer(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
         if step % self.stride:
             return
-        self.rows.append((step, x.copy(), dis, cons))
+        self.rows.append((step, x.copy(), dis, cons, float(x.min()), float(x.max())))
         while len(self.rows) > self.limit - 1:
             self.stride *= 2
             self.rows = [row for row in self.rows if row[0] % self.stride == 0]
@@ -450,7 +455,7 @@ class _ReferenceSampler:
     def finish(self, step: int, x: np.ndarray, dis: float, cons: float) -> None:
         if self.rows and self.rows[-1][0] == step:
             return
-        self.rows.append((step, x.copy(), dis, cons))
+        self.rows.append((step, x.copy(), dis, cons, float(x.min()), float(x.max())))
 
 
 def reference_run(
@@ -467,8 +472,10 @@ def reference_run(
 
     Each step's disagreement, v . x, conserved min/max and sampler offer are
     computed before the next step is taken, so this is the plain reading of
-    the loop that engine.run evaluates a block of steps at a time.  It does
-    not validate its arguments or refuse uncertified configurations.
+    the loop that engine.run evaluates a block of steps at a time.  Like
+    engine.run it keeps the recorded states only up to _MAX_INLINE_STATE
+    nodes.  It does not validate its arguments or refuse uncertified
+    configurations.
     """
     x = as_vector(x0, system.n).copy()
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
@@ -516,11 +523,15 @@ def reference_run(
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(cons) else math.nan
     return RunTrace(
         steps=[row[0] for row in sampler.rows],
-        states=[row[1] for row in sampler.rows],
+        states=[row[1] for row in sampler.rows] if system.n <= _MAX_INLINE_STATE else [],
         disagreement=[row[2] for row in sampler.rows],
         conserved=[row[3] for row in sampler.rows],
+        x_min=[row[4] for row in sampler.rows],
+        x_max=[row[5] for row in sampler.rows],
+        final_state=x.copy(),
         predicted_alpha=alpha,
         converged_at=converged_at,
         steps_run=k,
         conserved_drift=drift,
+        certified=not certify(system, eps),
     )

@@ -676,6 +676,21 @@ class TestOneCertificationPerCommand:
         assert calls["is_strongly_connected"] == 1
         assert calls["gmres_null_vector"] + calls["null_vector"] == 1
 
+    @pytest.mark.parametrize("command", ["check", "run", "compare"])
+    def test_certify_called_once(self, command, tmp_path, triangle, monkeypatch, capsys):
+        # the summary reads the run's own verdict instead of certifying again
+        calls = []
+        real = engine.certify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "certify", counted)
+        monkeypatch.setattr(cli, "certify", counted)
+        assert main([command, "--graph", str(triangle), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "command", [["check"], ["run", "--max-steps", "50"]], ids=["check", "run"]
     )

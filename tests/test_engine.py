@@ -882,6 +882,38 @@ class TestRecordsCompareByIdentity:
 FIVE_CYCLE = Digraph(n=5, edges=frozenset((i, (i + 1) % 5) for i in range(5)))
 
 
+class TestRunRecord:
+    """run keeps each row's printed values and the final state; states only up to 64 nodes."""
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_rows_and_final_state_on_both_sides_of_the_cut(self, n):
+        cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+        system = build_system(cycle, np.ones(n))
+        x0 = default_initial_state(n, 3)
+        trace = run(system, x0, tol=1e-3, snapshot_limit=50)
+        assert_same_run(trace, reference_run(system, x0, tol=1e-3, snapshot_limit=50))
+        assert len(trace.states) == (len(trace.steps) if n <= 64 else 0)
+        assert trace.certified
+
+    @pytest.mark.parametrize(
+        "n, kwargs", [(5000, {}), (20_000, {"max_steps": 600})], ids=["5000", "20000-capped"]
+    )
+    def test_a_run_above_the_cut_keeps_no_full_states(self, n, kwargs):
+        # at n = 5,000: 3,327 steps and 833 recorded rows, 40 KB each as states
+        rng = np.random.default_rng(0)
+        system = build_system(ring_with_chords(rng, n, 3), random_weights(rng, n, 0.1, 10.1))
+        x0 = default_initial_state(system.n, 0)
+        system.v  # computed once per system, before the measurement
+        tracemalloc.start()
+        try:
+            trace = run(system, x0, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.states == []
+        assert peak < 8_000_000
+
+
 class TestKnownDefects:
     """Defects ROADMAP lists as open; the change that mends one turns its xfail into a test."""
 
@@ -905,21 +937,3 @@ class TestKnownDefects:
         trace = run(system, default_initial_state(3, 0), tol=1e-300, max_steps=5000)
         assert trace.steps_run < 5000
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 7: run keeps up to snapshot_limit full states",
-    )
-    def test_a_run_at_n_5000_keeps_no_full_states(self):
-        # 3,327 steps and 833 recorded rows of 40 KB each
-        rng = np.random.default_rng(0)
-        system = build_system(ring_with_chords(rng, 5000, 3), random_weights(rng, 5000, 0.1, 10.1))
-        x0 = default_initial_state(system.n, 0)
-        system.v  # computed once per system, before the measurement
-        tracemalloc.start()
-        try:
-            run(system, x0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8_000_000

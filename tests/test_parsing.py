@@ -229,7 +229,7 @@ NUMBER_LINES = [
 ]
 ODD_NUMBER_LINES = [
     "inf", "-inf", "nan", "Infinity", "1_0", "\u0661", "1 2", "", " ", "# c", "  1.5  ",
-    "\t2", "0x10", "1e", "e5", ".", "+-1", "1.2.3", "--1", "1\xa0", "\x0c3", "1e5\x85",
+    "\t2", "0x10", "1e", "e5", ".", "+-1", "1.2.3", "--1", "1\xa0", "\x0c3", "1e5\x85", "\x1c4",
 ]
 
 
