@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,7 @@ from .engine import (
     predict,
     run,
 )
-from .graph import GraphFormatError, _meaningful_lines, _read_text_file, load_edge_list
+from .graph import GraphFormatError, load_edge_list, read_vector_file
 from .linalg import NullSpaceError
 
 EXIT_OK = 0
@@ -67,8 +68,9 @@ class ExperimentConfig:
             raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max-steps must be at least 1")
-        if self.snapshot_limit < 2:
+        if not self.snapshot_limit >= 2:
             raise ValueError("snapshots must be at least 2")
+        operator.index(self.max_steps), operator.index(self.snapshot_limit)  # TypeError for 2.5
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.mode not in ("matrix", "agents"):
@@ -109,46 +111,6 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _bulk_floats(text: str) -> list[float] | None:
-    # the common form: one number on each line and nothing else.  None for what
-    # the line loop declines ahead of its float(), and for any text float()
-    # rejects (a blank or # line); the loop then reads it, with the same float()
-    if not text.isascii() or "_" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    try:
-        return list(map(float, lines))
-    except ValueError:
-        return None
-
-
-def _vector_lines(lines, label: str) -> list[float]:
-    values: list[float] = []
-    for lineno, line in _meaningful_lines(lines):
-        try:
-            # float() also reads digit separators and non-ASCII digits,
-            # which are no plain decimals; the edge-list parser rejects
-            # them too
-            if not line.isascii() or "_" in line:
-                raise ValueError
-            values.append(float(line))
-        except ValueError:
-            raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
-    return values
-
-
-def _read_vector_file(path, n: int, label: str) -> np.ndarray:
-    values = _read_text_file(path, _bulk_floats, lambda lines: _vector_lines(lines, label))
-    if len(values) != n:
-        raise ValueError(f"{label} file has {len(values)} values, expected {n}")
-    vec = np.array(values, dtype=np.float64)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{label} file has non-finite entries")
-    return vec
 
 
 def _fmt(value: float) -> str:
@@ -212,12 +174,12 @@ def _build_parser() -> _Parser:
 def _load_problem(config: ExperimentConfig) -> tuple[WeightedSystem, np.ndarray, float]:
     graph = load_edge_list(config.graph_path)
     if config.weights_path is not None:
-        w = _read_vector_file(config.weights_path, graph.n, "weights")
+        w = read_vector_file(config.weights_path, graph.n, "weights")
     else:
         w = np.ones(graph.n, dtype=np.float64)
     system = build_system(graph, w)
     if config.x0_path is not None:
-        x0 = _read_vector_file(config.x0_path, graph.n, "x0")
+        x0 = read_vector_file(config.x0_path, graph.n, "x0")
     else:
         x0 = default_initial_state(graph.n, config.seed)
     eps = config.epsilon if config.epsilon is not None else default_epsilon(system)
@@ -326,7 +288,7 @@ def cmd_run(config, system, x0, eps) -> int:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    converged = trace.converged_at is not None
+    converged = trace.stop_reason == "converged"
     print(f"mode: {config.mode}")
     print(f"steps_run: {trace.steps_run}")
     print(f"converged_at: {trace.converged_at if converged else 'none'}")
@@ -335,16 +297,14 @@ def cmd_run(config, system, x0, eps) -> int:
         print(f"predicted_alpha: {_fmt(summary['predicted_alpha'])}")
     print(f"wrote: {trace_path}")
     print(f"wrote: {summary_path}")
-    if not converged:
-        if not np.isfinite(trace.final_state).all():
-            print(
-                f"state diverged at step {trace.steps_run}: disagreement is not finite",
-                file=sys.stderr,
-            )
-        else:
-            print(f"did not converge within {config.max_steps} steps", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    if trace.stop_reason == "diverged":
+        print(
+            f"state diverged at step {trace.steps_run}: disagreement is not finite",
+            file=sys.stderr,
+        )
+    elif trace.stop_reason == "budget":
+        print(f"did not converge within {config.max_steps} steps", file=sys.stderr)
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 class _Divergence(Exception):

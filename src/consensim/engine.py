@@ -257,7 +257,8 @@ class RunTrace:
     dropped below the tolerance, or None when the budget ran out or the
     state diverged first; a diverged run ends at the first step whose state
     has a non-finite entry.  A finite state whose disagreement overflows to
-    inf has not diverged.  conserved_drift is the spread of the conserved
+    inf has not diverged.  stop_reason says how the run ended: "converged",
+    "diverged" or "budget".  conserved_drift is the spread of the conserved
     quantity over every step of the run, recorded or not, relative to
     max|x0| (nan when the conserved functional is unavailable or a
     conserved value is not finite).  The drift's extremes come from one
@@ -278,6 +279,7 @@ class RunTrace:
     steps_run: int
     conserved_drift: float
     certified: bool
+    stop_reason: str
 
     @property
     def final_disagreement(self) -> float:
@@ -417,6 +419,7 @@ def run(
     # be, since a non-finite v . x means a non-finite state, which ends the
     # loop
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(conserved[-1]) else math.nan
+    stop_reason = "converged" if dis[last] < tol else "diverged" if diverged[last] else "budget"
     return RunTrace(
         steps=steps,
         states=states if keep_states else [],
@@ -426,8 +429,9 @@ def run(
         x_max=x_max,
         final_state=blk[last].copy(),
         predicted_alpha=alpha,
-        converged_at=k + last if dis[last] < tol else None,
+        converged_at=k + last if stop_reason == "converged" else None,
         steps_run=k + last,
         conserved_drift=drift,
         certified=not failed,
+        stop_reason=stop_reason,
     )

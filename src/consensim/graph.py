@@ -1,4 +1,4 @@
-"""Directed graphs, edge-list parsing, and strong connectivity.
+"""Directed graphs, every input file format, and strong connectivity.
 
 ``_read_text_file`` reads the graph, weights and x0 files by the same rules,
 and ``_meaningful_lines`` skips their blank lines and ``#`` lines.
@@ -258,6 +258,32 @@ def load_edge_list(path) -> Digraph:
     translation, as iterating over the file splits them.
     """
     return _read_text_file(path, _bulk_graph, _parse_lines)
+
+
+def _vector_lines(lines, label: str) -> list[float]:
+    values: list[float] = []
+    for lineno, line in _meaningful_lines(lines):
+        try:
+            # float() also reads digit separators and non-ASCII digits,
+            # which are no plain decimals; the edge-list parser rejects
+            # them too
+            if not line.isascii() or "_" in line:
+                raise ValueError
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"{label} file line {lineno}: not a number: {line!r}") from None
+    return values
+
+
+def read_vector_file(path, n: int, label: str) -> np.ndarray:
+    """The n finite numbers of a weights or x0 file, one per line, read line by line."""
+    values = _read_text_file(path, lambda text: None, lambda lines: _vector_lines(lines, label))
+    if len(values) != n:
+        raise ValueError(f"{label} file has {len(values)} values, expected {n}")
+    vec = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{label} file has non-finite entries")
+    return vec
 
 
 def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:

@@ -264,7 +264,7 @@ def parse_edge_list_oracle(source: str | Iterable[str]) -> Digraph:
 
 
 def read_vector_file_oracle(path, n: int, label: str) -> np.ndarray:
-    """cli._read_vector_file's original loop: one line, one float() at a time."""
+    """graph.read_vector_file's original loop: one line, one float() at a time."""
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -433,6 +433,7 @@ def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
     assert trace.final_state.tobytes() == ref.final_state.tobytes()
     assert trace.certified == ref.certified
     assert trace.converged_at == ref.converged_at
+    assert trace.stop_reason == ref.stop_reason
     assert trace.steps_run == ref.steps_run
 
 
@@ -507,11 +508,14 @@ def reference_run(
             sampler.offer(k, x, dis, cons)
             if dis < tol:
                 converged_at = k
+                stop_reason = "converged"
                 break
             if not math.isfinite(dis) and not np.isfinite(x).all():
                 # diverged: no later step can bring the state back below tol
+                stop_reason = "diverged"
                 break
             if k >= max_steps:
+                stop_reason = "budget"
                 break
             x = stepper(x)
             k += 1
@@ -534,4 +538,5 @@ def reference_run(
         steps_run=k,
         conserved_drift=drift,
         certified=not certify(system, eps),
+        stop_reason=stop_reason,
     )

@@ -735,6 +735,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(graph_path="g.txt", **kwargs)
 
+    def test_rejects_a_snapshot_limit_of_nan(self):
+        # run tests "not snapshot_limit >= 2", which nan fails
+        with pytest.raises(ValueError, match="snapshots must be at least 2"):
+            ExperimentConfig(graph_path="g", snapshot_limit=float("nan"))
+
+    @pytest.mark.parametrize("field", ["max_steps", "snapshot_limit"])
+    def test_rejects_a_count_that_is_not_an_integer(self, field):
+        # run would raise the same TypeError, out of cmd_run
+        with pytest.raises(TypeError):
+            ExperimentConfig(graph_path="g", **{field: 2.5})
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_rejects_a_tolerance_that_is_not_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):

@@ -914,6 +914,38 @@ class TestRunRecord:
         assert peak < 8_000_000
 
 
+PATH = parse_edge_list("0 1\n1 0\n1 2\n2 1\n")
+
+
+class TestStopReason:
+    """run says how it ended, in both modes, as the step-by-step reference does."""
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    @pytest.mark.parametrize(
+        "graph, x0, epsilon, max_steps, reason, steps_run",
+        [
+            (THREE_CYCLE, default_initial_state(3, 0), None, 10_000, "converged", None),
+            (THREE_CYCLE, default_initial_state(3, 0), 5.0, 10_000, "diverged", 346),
+            (THREE_CYCLE, default_initial_state(3, 0), None, 3, "budget", 3),
+            # the spread is inf at step 0, yet every entry stays finite
+            (PATH, np.array([1.7e308, 0.0, -1.7e308]), None, 10_000, "converged", None),
+        ],
+        ids=["converged", "diverged", "budget", "spread-overflows"],
+    )
+    def test_stop_reason(self, mode, graph, x0, epsilon, max_steps, reason, steps_run):
+        system = build_system(graph, np.ones(graph.n))
+        eps = default_epsilon(system) if epsilon is None else epsilon
+        stepper = agent_stepper(system, x0, eps) if mode == "agents" else None
+        trace = run(
+            system, x0, eps, max_steps=max_steps, override_uncertified=True, stepper=stepper
+        )
+        assert trace.stop_reason == reason
+        assert (trace.converged_at is not None) == (reason == "converged")
+        if steps_run is not None:
+            assert trace.steps_run == steps_run
+        assert_same_run(trace, reference_run(system, x0, eps, max_steps=max_steps))
+
+
 class TestKnownDefects:
     """Defects ROADMAP lists as open; the change that mends one turns its xfail into a test."""
 

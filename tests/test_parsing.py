@@ -1,8 +1,9 @@
 """The edge-list and vector-file readers against their original line loops.
 
-Both readers decode the common form of a file in bulk and hand anything else
-to a line loop.  The generated inputs mix that common form with what the
-bulk path must decline: comments, blank lines, CRLF and CR endings, a
+The edge-list reader decodes the common form of a file in bulk and hands
+anything else to a line loop; the vector-file reader reads every file with
+its line loop.  The generated inputs mix the common form with what the bulk
+path must decline: comments, blank lines, CRLF and CR endings, a
 missing final newline, tabs, runs of spaces, the characters str.splitlines
 or str.split treat as line breaks or spaces beyond ASCII, signs, digit
 separators, non-ASCII digits, and tokens beyond int64.  Every input must give
@@ -19,8 +20,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from consensim.cli import _read_vector_file  # noqa: E402
-from consensim.graph import Digraph, GraphFormatError, load_edge_list, parse_edge_list  # noqa: E402
+from consensim.graph import (  # noqa: E402
+    Digraph,
+    GraphFormatError,
+    load_edge_list,
+    parse_edge_list,
+    read_vector_file,
+)
 
 from helpers import parse_edge_list_oracle, read_vector_file_oracle  # noqa: E402
 
@@ -173,7 +179,7 @@ def test_crlf_header_comment_blank_and_no_final_newline(work_dir):
     [
         (load_edge_list, b"0 1\n1 1\n", b"0 2\n", GraphFormatError,
          r"^line 2: self-loop on node 1$"),
-        (lambda path: _read_vector_file(path, 5002, "weights"), b"1\nx\n", b"1\n", ValueError,
+        (lambda path: read_vector_file(path, 5002, "weights"), b"1\nx\n", b"1\n", ValueError,
          r"^weights file line 2: not a number: 'x'$"),
     ],
     ids=["graph", "weights"],
@@ -192,7 +198,7 @@ def test_a_fault_ahead_of_undecodable_bytes_is_reported(read, head, line, error,
 
 @pytest.mark.parametrize(
     "read",
-    [load_edge_list, lambda path: _read_vector_file(path, 1, "weights")],
+    [load_edge_list, lambda path: read_vector_file(path, 1, "weights")],
     ids=["graph", "weights"],
 )
 @pytest.mark.parametrize(
@@ -266,7 +272,7 @@ def test_vector_file_reads_as_the_original_loop(case, work_dir):
     text, n = case
     path = work_dir / "vector.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert vector_outcome(_read_vector_file, path, n, "x0") == vector_outcome(
+    assert vector_outcome(read_vector_file, path, n, "x0") == vector_outcome(
         read_vector_file_oracle, path, n, "x0"
     )
 
@@ -284,5 +290,5 @@ def test_vector_file_errors(text, n, message, work_dir):
     path = work_dir / "vector-error.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as info:
-        _read_vector_file(path, n, "x0")
+        read_vector_file(path, n, "x0")
     assert str(info.value) == message
