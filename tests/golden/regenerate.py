@@ -16,8 +16,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "bench"))
 
+from gen import generate  # noqa: E402
 from test_golden import ENTRIES, INPUTS, capture  # noqa: E402
 
 T = "{in}/triangle.txt"
@@ -49,7 +52,47 @@ INPUT_FILES = {
     "vec-bad-byte-late.txt": b"# " + b"-" * 12000 + b"\n\xff\n",
     # the fault on line 2 is met before the undecodable byte
     "vec-fault-before-bad-byte.txt": b"1\nx\n" + b"1\n" * 5000 + b"\xff\n",
+    "nodes3.txt": b"nodes 3\n",
+    # floats stall it in an exact cycle with a disagreement of 1.86e-9
+    "five-cycle.txt": b"0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "five-cycle-x0.txt": b"1e7\n0\n0\n0\n0\n",
+    "ring100-x0-zeros.txt": b"-0.0\n0.0\n" * 50,
+    "ring100-x0-huge.txt": b"1.7e308\n-1.7e308\n" * 50,
+    # i -> i + 1, i -> i - 1 and i -> i - 2 without wraparound
+    "chain100.txt": b"".join(
+        [b"%d %d\n" % (i, i + 1) for i in range(99)]
+        + [b"%d %d\n" % (i, i - 1) for i in range(1, 100)]
+        + [b"%d %d\n" % (i, i - 2) for i in range(2, 100)]
+    ),
 }
+
+# the malformed graphs of tests/test_parsing.py and tests/test_cli.py: each
+# later line is faulty too, in a different way
+MALFORMED_GRAPHS = {
+    "duplicate": b"0 1\n1 2\n1 2\n3 3\n",
+    "self-loop": b"0 1\n2 2\n0 1\n",
+    "declared-self-loop": b"nodes 3\n0 1\n2 2\n0 9\n",
+    "declared-out-of-range": b"nodes 3\n0 1\n0 9\n2 2\n",
+    "declared-duplicate": b"nodes 3\n0 1\n0 1\n0 9\n",
+    "duplicate-then-token": b"0 1\n1 0\n1 0\n0 x\n",
+    "token-then-duplicate": b"0 1\n1 0\n0 x\n1 0\n",
+    "declared-beyond-int64": b"nodes 3\n0 99999999999999999999\n",
+    "inferred-beyond-int64": b"0 99999999999999999999\n",
+}
+for _stem, _data in MALFORMED_GRAPHS.items():
+    INPUT_FILES[f"malformed-{_stem}.txt"] = _data
+
+# the benchmark's generator on both sides of the 64-node inline-state cut,
+# and iterate-long's slow cycle
+GENERATED = {"ring-chords-64": ("ring-chords", 64), "ring-chords-65": ("ring-chords", 65),
+             "cycle-85": ("cycle", 85)}
+for _stem, (_family, _n) in GENERATED.items():
+    _inputs = generate(_family, _n, seed=1)
+    INPUT_FILES[f"gen-{_stem}.txt"] = (
+        f"nodes {_n}\n" + "".join(f"{i} {j}\n" for i, j in _inputs.edges)
+    ).encode("ascii")
+    INPUT_FILES[f"gen-{_stem}-w.txt"] = "".join(f"{v!r}\n" for v in _inputs.w).encode("ascii")
+    INPUT_FILES[f"gen-{_stem}-x0.txt"] = "".join(f"{v!r}\n" for v in _inputs.x0).encode("ascii")
 
 VECTOR_FILES = [name for name in INPUT_FILES if name.startswith("vec-")]
 
@@ -111,7 +154,32 @@ CASES = {
     "run-comment-vectors": run(
         "--graph", T, "--weights", "{in}/w-comment.txt", "--x0", "{in}/x0-comment.txt"
     ),
+    "check-nodes3": ["check", "--graph", "{in}/nodes3.txt"],
+    "run-nodes3": run("--graph", "{in}/nodes3.txt"),
+    # stalled runs spin out their step cap (ROADMAP item 1 will stop them)
+    "run-five-cycle-stalled": run(
+        "--graph", "{in}/five-cycle.txt", "--x0", "{in}/five-cycle-x0.txt", "--max-steps", "5000"
+    ),
+    "run-triangle-stalled-tol-1e-300": run("--graph", T, "--tol", "1e-300", "--max-steps", "5000"),
+    "run-ring100-signed-zeros": run(
+        "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-zeros.txt"
+    ),
+    "run-ring100-huge": run(
+        "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-huge.txt", "--max-steps", "200"
+    ),
+    # ROADMAP item 12 will certify it
+    "check-chain100": ["check", "--graph", "{in}/chain100.txt"],
 }
+for _stem in MALFORMED_GRAPHS:
+    CASES[f"check-malformed-{_stem}"] = ["check", "--graph", f"{{in}}/malformed-{_stem}.txt"]
+for _stem in GENERATED:
+    _files = [
+        "--graph", f"{{in}}/gen-{_stem}.txt",
+        "--weights", f"{{in}}/gen-{_stem}-w.txt",
+        "--x0", f"{{in}}/gen-{_stem}-x0.txt",
+    ]
+    CASES[f"check-gen-{_stem}"] = ["check", *_files]
+    CASES[f"run-gen-{_stem}"] = run(*_files, "--snapshots", "16", "--max-steps", "5000")
 for _name in VECTOR_FILES:
     _stem = _name[len("vec-") : -len(".txt")]
     CASES[f"weights-{_stem}"] = ["check", "--graph", T, "--weights", f"{{in}}/{_name}"]
