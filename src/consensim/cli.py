@@ -37,7 +37,7 @@ from .engine import (
     predict,
     run,
 )
-from .graph import GraphFormatError, load_edge_list, read_vector_file
+from .graph import load_edge_list, read_vector_file
 from .linalg import NullSpaceError
 
 EXIT_OK = 0
@@ -73,6 +73,7 @@ class ExperimentConfig:
         operator.index(self.max_steps), operator.index(self.snapshot_limit)  # TypeError for 2.5
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        operator.index(self.seed)
         if self.mode not in ("matrix", "agents"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.epsilon is not None:
@@ -199,7 +200,7 @@ def cmd_check(config, system, x0, eps) -> int:
     print(f"epsilon: {_fmt(eps)}")
     print(f"certified: {_fmt_bool(not problems)}")
     if system.strongly_connected:
-        prediction = predict(system, x0, eps)
+        prediction = predict(system, x0)
         if system.n <= _MAX_INLINE_STATE:
             print(f"v: {_fmt_vector(prediction.v)}")
         else:
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return args.func(config, *_load_problem(config))
-    except (GraphFormatError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # MemoryError: numpy refuses an array as long as the input's node count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -363,7 +364,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -193,10 +193,11 @@ class SpectralPrediction:
 
     v is the positive unit-l1 null vector of L_w^T (the conserved functional),
     alpha = v . x0 is the predicted consensus value, and rho_estimate is the
-    Rayleigh quotient v . (P v) / (v . v): one power-iteration step for the
-    spectral radius of P, started from v.  For a certified step size
-    v^T P = v^T, so it is 1.0 up to rounding and checks that v is a fixed
-    point of the iteration.
+    Rayleigh quotient v . (P v) / (v . v) at the default step size: one
+    power-iteration step for the spectral radius of P, started from v.
+    v^T L_w = 0 makes it 1 - eps * (v^T L_w v) / (v^T v) = 1 for every step
+    size, so it is 1.0 up to rounding and checks that v is a fixed point of
+    the iteration.
     """
 
     v: np.ndarray
@@ -204,24 +205,19 @@ class SpectralPrediction:
     rho_estimate: float
 
 
-def predict(system: WeightedSystem, x0, epsilon: float | None = None) -> SpectralPrediction:
+def predict(system: WeightedSystem, x0) -> SpectralPrediction:
     """Predict the consensus value without iterating.
 
-    Requires a strongly connected graph.  epsilon only affects the
-    rho_estimate diagnostic; when omitted or not certified, the default
-    step size is used for that estimate.  The diagnostic is one product of
-    matrix_stepper's edge-list update with v, O(n + m); no dense matrix is
-    built.
+    Requires a strongly connected graph.  The rho_estimate diagnostic is one
+    product of matrix_stepper's edge-list update at the default step size
+    with v, O(n + m); no dense matrix is built.
     """
     x = as_vector(x0, system.n)
     v = system.v
     if v is None:
         raise HypothesisViolation("graph is not strongly connected")
     alpha = float(v @ x)
-    eps = None if epsilon is None else float(epsilon)
-    if eps is None or not 0.0 < eps < epsilon_bound(system):
-        eps = default_epsilon(system)
-    rho = float(v @ matrix_stepper(system, eps)(v)) / float(v @ v)
+    rho = float(v @ matrix_stepper(system, default_epsilon(system))(v)) / float(v @ v)
     return SpectralPrediction(v=v, alpha=alpha, rho_estimate=rho)
 
 

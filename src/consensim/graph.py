@@ -1,12 +1,15 @@
 """Directed graphs, every input file format, and strong connectivity.
 
 ``_read_text_file`` reads the graph, weights and x0 files by the same rules,
-and ``_meaningful_lines`` skips their blank lines and ``#`` lines.
+and ``_meaningful_lines`` skips their blank lines and ``#`` lines.  Both
+edge-list readers, the bulk decoder and the line loop, hand ``Digraph`` an
+(m, 2) array of pairs they have checked, so no pair is checked twice.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import index
 from typing import Callable, Iterable, Iterator
 
@@ -53,10 +56,10 @@ class Digraph:
     first faulty pair in input order raises, with its checks in the order
     above: a non-integer first, then a self-loop, an endpoint out of range,
     a repeat.  ``edges`` reads back as a frozenset of int pairs, built on
-    first access.
+    each read.
     """
 
-    __slots__ = ("_n", "_edge_array", "_edges")
+    __slots__ = ("_n", "_edge_array")
 
     def __init__(self, n, edges) -> None:
         n = index(n)
@@ -84,7 +87,6 @@ class Digraph:
                 _checked_pairs(n, edges)
         self._n = n
         self._edge_array = arr
-        self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
     def n(self) -> int:
@@ -94,9 +96,7 @@ class Digraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as a frozenset of (listener, source) int pairs."""
-        if self._edges is None:
-            self._edges = frozenset(zip(*self._edge_array.T.tolist()))
-        return self._edges
+        return frozenset(zip(*self._edge_array.T.tolist()))
 
     @property
     def m(self) -> int:
@@ -182,7 +182,11 @@ def _parse_lines(lines: Iterable[str]) -> Digraph:
     n = declared if declared is not None else max_index + 1
     if n < 1:
         raise GraphFormatError("no edges and no 'nodes <n>' header; node count is undefined")
-    return Digraph(n, edges)
+    if n > _INTP_MAX:
+        # Digraph rejects n before numpy would meet an index past intp
+        return Digraph(n, edges)
+    pairs = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges))
+    return Digraph(n, pairs.reshape(-1, 2))
 
 
 def _bulk_graph(text: str) -> Digraph | None:

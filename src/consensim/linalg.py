@@ -49,12 +49,12 @@ class NullSpaceError(ArithmeticError):
     an implementation fault upstream."""
 
 
-def as_vector(x, n: int | None = None) -> np.ndarray:
-    """Validate x as a finite 1-D float64 vector, optionally of length n."""
+def as_vector(x, n: int) -> np.ndarray:
+    """Validate x as a finite 1-D float64 vector of length n."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
+    if v.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")

@@ -740,9 +740,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="snapshots must be at least 2"):
             ExperimentConfig(graph_path="g", snapshot_limit=float("nan"))
 
-    @pytest.mark.parametrize("field", ["max_steps", "snapshot_limit"])
+    @pytest.mark.parametrize("field", ["max_steps", "snapshot_limit", "seed"])
     def test_rejects_a_count_that_is_not_an_integer(self, field):
-        # run would raise the same TypeError, out of cmd_run
+        # run would raise the same TypeError, out of cmd_run; a seed of 2.5
+        # would draw seed 2's stream
         with pytest.raises(TypeError):
             ExperimentConfig(graph_path="g", **{field: 2.5})
 
@@ -750,6 +751,14 @@ class TestExperimentConfig:
     def test_rejects_a_tolerance_that_is_not_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ExperimentConfig(graph_path="g.txt", tol=tol)
+
+    def test_rejects_a_seed_of_nan(self):
+        # nan passes "seed < 0" and would fail only once x0 is drawn
+        with pytest.raises(TypeError):
+            ExperimentConfig(graph_path="g", seed=float("nan"))
+
+    def test_accepts_a_numpy_integer_seed(self):
+        assert ExperimentConfig(graph_path="g", seed=np.int64(3)).seed == 3
 
 
 def module_env():
@@ -783,6 +792,21 @@ class TestEntrypoint:
             env=module_env(),
         )
         assert proc.returncode == 2
+
+    def test_the_benchmark_set_up_probe_loads_this_checkout(self):
+        # bench/setup_probe.py imports ExperimentConfig and _load_problem by
+        # name; a rename would otherwise surface only as a failed benchmark run
+        root = Path(__file__).resolve().parents[1]
+        inputs = root / "tests" / "golden" / "inputs"
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "setup_probe.py"),
+             *(str(inputs / f"gen-ring-chords-64{suffix}.txt") for suffix in ("", "-w", "-x0"))],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert Path(proc.stdout.strip()).resolve() == root / "src" / "consensim" / "__init__.py"
 
 
 class TestVectorFileParsing:

@@ -370,13 +370,14 @@ class TestPredict:
             assert pred.alpha == pytest.approx(float(system.w @ x0 / system.w.sum()), abs=1e-10)
 
     def test_rho_matches_the_dense_power_iteration(self):
-        # one dense power-iteration step from v: the Rayleigh quotient with
-        # the dense P, whose products round differently from the edge-list step
+        # one dense power-iteration step from v at the default step size: the
+        # Rayleigh quotient with the dense P, whose products round differently
+        # from the edge-list step
         machine_eps = np.finfo(np.float64).eps
         for system, eps, x in operator_draws():
             v = system.v
             dense = float(v @ (build_iteration_matrix(system, eps) @ v)) / float(v @ v)
-            rho = predict(system, x, eps).rho_estimate
+            rho = predict(system, x).rho_estimate
             assert abs(rho - dense) <= 4 * machine_eps
             assert abs(rho - 1.0) <= 4 * machine_eps
 
@@ -407,11 +408,6 @@ class TestPredict:
         predict(system, [6.0, 0.0, 0.0])
         assert len(calls) == 1
         assert calls[0] is system.v
-
-    def test_uncertified_epsilon_falls_back_for_rho(self):
-        system = build_system(THREE_CYCLE, np.ones(3))
-        pred = predict(system, [1.0, 2.0, 3.0], epsilon=5.0)
-        assert pred.rho_estimate == pytest.approx(1.0, abs=1e-10)
 
 
 class TestRun:

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+import consensim.graph as graph
 from consensim.engine import build_system
-from consensim.graph import Digraph, GraphFormatError, is_strongly_connected, parse_edge_list
+from consensim.graph import (
+    Digraph,
+    GraphFormatError,
+    is_strongly_connected,
+    load_edge_list,
+    parse_edge_list,
+)
 
 from helpers import (
     adjacency_matrix,
@@ -155,6 +162,26 @@ class TestParseEdgeList:
     def test_rejects_zero_node_header(self):
         with pytest.raises(GraphFormatError, match="at least 1"):
             parse_edge_list("nodes 0\n")
+
+    def test_the_line_loop_checks_each_pair_once(self, tmp_path, monkeypatch):
+        # a comment line sends the file to the line loop, which hands Digraph
+        # an array of the pairs it has checked, not the pairs to check again
+        calls = []
+        checked_pairs = graph._checked_pairs
+
+        def counted(n, edges):
+            calls.append(n)
+            return checked_pairs(n, edges)
+
+        monkeypatch.setattr(graph, "_checked_pairs", counted)
+        path = tmp_path / "ring.txt"
+        path.write_text("nodes 4\n# a ring\n0 1\n1 2\n2 3\n3 0\n")
+        g = load_edge_list(path)
+        assert (g.n, g.edges) == (4, {(0, 1), (1, 2), (2, 3), (3, 0)})
+        assert calls == []
+        # the counter is live: a set of pairs is checked one at a time
+        Digraph(4, {(0, 1)})
+        assert calls == [4]
 
 
 class TestDegreesAndLaplacian:
