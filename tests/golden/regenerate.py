@@ -145,6 +145,8 @@ CASES = {
     ),
     "check-nodes1": ["check", "--graph", "{in}/nodes1.txt"],
     "run-nodes1": run("--graph", "{in}/nodes1.txt"),
+    # one agent agrees with itself at step 0, so no round runs
+    "run-nodes1-agents": run("--graph", "{in}/nodes1.txt", "--mode", "agents"),
     # what the CI console-script step used to assert in shell
     "check-crlf": ["check", "--graph", "{in}/crlf.txt"],
     "run-crlf": run("--graph", "{in}/crlf.txt"),
@@ -156,6 +158,10 @@ CASES = {
     ),
     "check-nodes3": ["check", "--graph", "{in}/nodes3.txt"],
     "run-nodes3": run("--graph", "{in}/nodes3.txt"),
+    # rounds of agents without neighbours: every inbox stays empty
+    "run-nodes3-agents": run(
+        "--graph", "{in}/nodes3.txt", "--allow-uncertified", "--max-steps", "5", "--mode", "agents"
+    ),
     # stalled runs spin out their step cap (ROADMAP item 1 will stop them)
     "run-five-cycle-stalled": run(
         "--graph", "{in}/five-cycle.txt", "--x0", "{in}/five-cycle-x0.txt", "--max-steps", "5000"
@@ -163,6 +169,10 @@ CASES = {
     "run-triangle-stalled-tol-1e-300": run("--graph", T, "--tol", "1e-300", "--max-steps", "5000"),
     "run-ring100-signed-zeros": run(
         "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-zeros.txt"
+    ),
+    # signed zeros into the agents; their spread is 0, so no round runs
+    "run-ring100-signed-zeros-agents": run(
+        "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-zeros.txt", "--mode", "agents"
     ),
     "run-ring100-huge": run(
         "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-huge.txt", "--max-steps", "200"
@@ -180,6 +190,11 @@ for _stem in GENERATED:
     ]
     CASES[f"check-gen-{_stem}"] = ["check", *_files]
     CASES[f"run-gen-{_stem}"] = run(*_files, "--snapshots", "16", "--max-steps", "5000")
+    # the agent paths at out-degree 4 (ring plus chords) and 1 (the cycle)
+    CASES[f"run-gen-{_stem}-agents"] = run(
+        *_files, "--snapshots", "16", "--max-steps", "2000", "--mode", "agents"
+    )
+    CASES[f"compare-gen-{_stem}"] = compare(*_files, "--snapshots", "16", "--max-steps", "2000")
 for _name in VECTOR_FILES:
     _stem = _name[len("vec-") : -len(".txt")]
     CASES[f"weights-{_stem}"] = ["check", "--graph", T, "--weights", f"{{in}}/{_name}"]
