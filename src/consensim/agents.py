@@ -3,7 +3,8 @@
 Each agent owns its scalar state and updates it from received messages only;
 no agent reads another agent's fields.  A round publishes, then delivers:
 every committed state goes into one list, and each agent's inbox receives
-one message from that list per neighbor, message k from ``neighbors[k]``.
+one message from that list per neighbor, message k from ``neighbors[k]``:
+a tuple of the published floats, filled in C, not by a Python loop.
 Every agent then computes its update from its inbox alone, and all updates
 are committed together, so all read the same committed snapshot.  An
 agent's neighbors are its run of the system's edges in (listener, source)
@@ -14,6 +15,7 @@ engine's do; the two paths produce bit-identical trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -45,17 +47,18 @@ def local_update(agent: Agent, epsilon: float) -> float:
     value; the agent's state is not modified here.  A missing or surplus
     message is a protocol violation, never treated as a zero.
     """
-    got, expected = len(agent.inbox), len(agent.neighbors)
-    if got < expected:
-        raise MessageProtocolError(
-            f"agent {agent.id} has no message from neighbor {agent.neighbors[got]} this round"
-        )
-    if got > expected:
+    state, inbox = agent.state, agent.inbox
+    if len(inbox) != len(agent.neighbors):
+        got, expected = len(inbox), len(agent.neighbors)
+        if got < expected:
+            raise MessageProtocolError(
+                f"agent {agent.id} has no message from neighbor {agent.neighbors[got]} this round"
+            )
         raise MessageProtocolError(f"agent {agent.id} received {got} messages, expected {expected}")
     total = 0.0
-    for xj in agent.inbox:
-        total += xj - agent.state
-    return agent.state + (epsilon / agent.weight) * total
+    for xj in inbox:
+        total += xj - state
+    return state + (epsilon / agent.weight) * total
 
 
 @dataclass(frozen=True)
@@ -87,14 +90,21 @@ def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
     Phase one publishes every committed state and delivers each agent one
-    message per neighbor, in neighbor order; phase two computes every update
-    from the inboxes alone, then commits them all and empties the inboxes.
+    message per neighbor, in neighbor order: its inbox is the tuple of the
+    published floats, gathered by one itemgetter call when it has two or
+    more neighbors.  Phase two computes every update from the inboxes
+    alone, then commits them all and empties the inboxes.
     """
     published = [a.state for a in agents]
     sent = 0
     for a in agents:
-        a.inbox = tuple([published[j] for j in a.neighbors])
-        sent += len(a.inbox)
+        nb = a.neighbors
+        # itemgetter returns a bare value, not a tuple, for a single index
+        if len(nb) > 1:
+            a.inbox = itemgetter(*nb)(published)
+        else:
+            a.inbox = (published[nb[0]],) if nb else ()
+        sent += len(nb)
     staged = [local_update(a, epsilon) for a in agents]
     for a, value in zip(agents, staged):
         a.state = value

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import consensim.agents
 from consensim.agents import (
     Agent,
     MessageProtocolError,
@@ -50,6 +51,18 @@ class TestLocalUpdate:
     def test_surplus_message_is_a_protocol_violation(self):
         a = Agent(id=4, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0, 3.0))
         with pytest.raises(MessageProtocolError, match="agent 4 received 2 messages, expected 1"):
+            local_update(a, 0.5)
+
+    def test_missing_message_from_the_only_neighbor(self):
+        a = Agent(id=5, weight=1.0, state=0.0, neighbors=(3,), inbox=())
+        with pytest.raises(
+            MessageProtocolError, match="agent 5 has no message from neighbor 3 this round"
+        ):
+            local_update(a, 0.5)
+
+    def test_message_to_an_agent_without_neighbors(self):
+        a = Agent(id=6, weight=1.0, state=0.0, neighbors=(), inbox=(1.0,))
+        with pytest.raises(MessageProtocolError, match="agent 6 received 1 messages, expected 0"):
             local_update(a, 0.5)
 
     def test_repeated_neighbor_gets_one_message_per_entry(self):
@@ -108,6 +121,29 @@ class TestRounds:
         assert agents[2].state == 7.5
         assert step_round([agents[2]], 0.5) == 0
         assert agents[2].state == 7.5
+
+    def test_each_inbox_is_a_tuple_of_the_published_floats(self, monkeypatch):
+        # agent 0 listens to 1, 2 and 3, agent 1 to 0, agents 2 and 3 to
+        # nobody; a hand-built agent 4 names neighbor 1 twice
+        system, agents = make_agents(
+            "nodes 4\n0 1\n0 2\n0 3\n1 0\n", np.ones(4), [1.0, 2.0, 3.0, 4.0]
+        )
+        agents.append(Agent(id=4, weight=1.0, state=5.0, neighbors=(1, 1)))
+        published = [a.state for a in agents]
+        inboxes = {}
+        real = consensim.agents.local_update
+
+        def spy(agent, epsilon):
+            inboxes[agent.id] = agent.inbox
+            return real(agent, epsilon)
+
+        monkeypatch.setattr(consensim.agents, "local_update", spy)
+        assert step_round(agents, 0.1) == 6
+        assert [len(inboxes[a.id]) for a in agents] == [3, 1, 0, 0, 2]
+        for a in agents:
+            inbox = inboxes[a.id]
+            assert type(inbox) is tuple
+            assert all(x is published[j] for x, j in zip(inbox, a.neighbors))
 
     def test_report_rounds_are_sequential(self):
         system, agents = make_agents("0 1\n1 0\n", np.ones(2), [2.0, 0.0])

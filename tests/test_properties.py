@@ -5,7 +5,9 @@ cycles, bidirected stars, and a random cycle plus chords) and the weights
 spread over ten orders of magnitude, well past the 0.1-10 range the seeded
 tests draw from.  v comes from the weights on the stars and from GMRES on
 the directed graphs.  On request the draws add ring-plus-chords graphs of a
-few hundred nodes, on which GMRES takes more than one restart cycle.
+few hundred nodes, on which GMRES takes more than one restart cycle.  One
+lockstep test draws graphs that need not be strongly connected, so that
+agents with no, one and several neighbors mix.
 """
 
 from __future__ import annotations
@@ -19,18 +21,25 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from consensim.agents import agent_stepper  # noqa: E402
+from consensim.agents import agent_stepper, build_agents, run_rounds  # noqa: E402
 from consensim.engine import (  # noqa: E402
     HypothesisViolation,
     build_system,
     certify,
+    default_epsilon,
     epsilon_bound,
     matrix_stepper,
     run,
 )
 from consensim.graph import Digraph  # noqa: E402
 
-from helpers import assert_same_run, reference_run, ring_with_chords  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_same_run,
+    random_digraph,
+    random_weights,
+    reference_run,
+    ring_with_chords,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -90,6 +99,26 @@ def test_agent_and_matrix_steppers_agree_bitwise(config, data):
         x = agents(x)
         y = matrix(y)
         assert x.tobytes() == y.tobytes(), f"round {r}"
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_agent_rounds_match_the_matrix_stepper_at_any_out_degree(seed, data):
+    # graphs that need not be strongly connected, so agents with no, one
+    # and several neighbors mix; signed zeros travel through the messages
+    rng = np.random.default_rng(seed)
+    g = random_digraph(rng, n_lo=1, n_hi=10, dens_lo=0.0, dens_hi=0.6, require_strong=False)
+    system = build_system(g, random_weights(rng, g.n))
+    eps = default_epsilon(system)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    x0 = np.array(data.draw(st.lists(values, min_size=g.n, max_size=g.n)), dtype=np.float64)
+    reports = run_rounds(build_agents(system, x0), eps, 30)
+    step = matrix_stepper(system, eps)
+    x = x0
+    for report in reports:
+        assert np.array(report.states, dtype=np.float64).tobytes() == x.tobytes(), report.round
+        assert report.messages_sent == (len(system.sources) if report.round else 0)
+        x = step(x)
 
 
 # budgets at and next to the run loop's block edges, plus anything up to 600
