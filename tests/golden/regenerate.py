@@ -179,6 +179,15 @@ CASES = {
     ),
     # ROADMAP item 12 will certify it
     "check-chain100": ["check", "--graph", "{in}/chain100.txt"],
+    # every shared flag away from its default; the bound is 1
+    "run-triangle-every-flag": run(
+        "--graph", T, "--weights", "{in}/w-comment.txt", "--x0", "{in}/x0-comment.txt",
+        "--epsilon", "1.2", "--allow-uncertified", "--tol", "1e-6", "--max-steps", "400",
+        "--snapshots", "9", "--mode", "agents", "--seed", "5",
+    ),
+    # the default initial state from a seed other than 0
+    "run-triangle-seed-7": run("--graph", T, "--seed", "7"),
+    "compare-triangle-seed-7": compare("--graph", T, "--seed", "7"),
 }
 for _stem in MALFORMED_GRAPHS:
     CASES[f"check-malformed-{_stem}"] = ["check", "--graph", f"{{in}}/malformed-{_stem}.txt"]
