@@ -80,22 +80,6 @@ class ExperimentConfig:
             _step_size(self.epsilon)
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        graph_path=args.graph,
-        weights_path=args.weights,
-        x0_path=args.x0,
-        epsilon=args.epsilon,
-        tol=args.tol,
-        max_steps=args.max_steps,
-        mode=args.mode,
-        allow_uncertified=args.allow_uncertified,
-        out_dir=args.out,
-        snapshot_limit=args.snapshots,
-        seed=args.seed,
-    )
-
-
 def default_initial_state(n: int, seed: int) -> np.ndarray:
     """Deterministic initial state in [0, 1): the splitmix64 stream.
 
@@ -139,26 +123,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="consensim", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--graph", required=True, help="edge-list file")
-    common.add_argument("--weights", help="node weights file, one positive value per line")
-    common.add_argument("--x0", help="initial state file, one value per line")
+    # a flag not given stays absent, so ExperimentConfig holds the only defaults
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--graph", required=True, dest="graph_path", metavar="GRAPH",
+                        help="edge-list file")
+    common.add_argument("--weights", dest="weights_path", metavar="WEIGHTS",
+                        help="node weights file, one positive value per line")
+    common.add_argument("--x0", dest="x0_path", metavar="X0",
+                        help="initial state file, one value per line")
     common.add_argument("--epsilon", type=float, help="step size (default 0.9 * bound)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="disagreement tolerance")
-    common.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step budget")
-    common.add_argument(
-        "--mode", choices=("matrix", "agents"), default="matrix", help="execution mode for run"
-    )
-    common.add_argument(
-        "--allow-uncertified",
-        action="store_true",
-        help="run even when the hypotheses do not certify convergence",
-    )
-    common.add_argument("--out", default=".", help="output directory for trace and summary")
-    common.add_argument(
-        "--snapshots", type=int, default=DEFAULT_SNAPSHOT_LIMIT, help="max recorded trace rows"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for the default initial state")
+    common.add_argument("--tol", type=float, help="disagreement tolerance")
+    common.add_argument("--max-steps", type=int, help="step budget")
+    common.add_argument("--mode", choices=("matrix", "agents"), help="execution mode for run")
+    common.add_argument("--allow-uncertified", action="store_true",
+                        help="run even when the hypotheses do not certify convergence")
+    common.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory for trace and summary")
+    common.add_argument("--snapshots", type=int, dest="snapshot_limit", metavar="SNAPSHOTS",
+                        help="max recorded trace rows")
+    common.add_argument("--seed", type=int, help="seed for the default initial state")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", parents=[common], help="report hypotheses and predictions")
@@ -346,13 +329,15 @@ def cmd_compare(config, system, x0, eps) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        fields = vars(parser.parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    func = fields.pop("func")
+    del fields["command"]
     try:
-        config = _config_from_args(args)
-        return args.func(config, *_load_problem(config))
+        config = ExperimentConfig(**fields)
+        return func(config, *_load_problem(config))
     except (OSError, ValueError, MemoryError) as exc:
         # MemoryError: numpy refuses an array as long as the input's node count
         print(f"error: {exc}", file=sys.stderr)

@@ -46,9 +46,10 @@ class WeightedSystem:
     """A digraph with positive node weights and the facts that depend on them alone.
 
     listeners/sources are the edges as parallel index arrays sorted by
-    (listener, source); this fixed ascending order is the canonical
-    summation order shared with the message-passing simulator, which is what
-    keeps the two execution paths bit-identical.  d and undirected are read
+    (listener, source): views of the graph's own sorted columns, not copies.
+    This fixed ascending order is the canonical summation order shared with
+    the message-passing simulator, which is what keeps the two execution
+    paths bit-identical.  d and undirected are read
     from these arrays.  The graph-only facts (strong connectivity,
     undirectedness, the stationary vector v) do not depend on the step size,
     so each is computed at most once per instance.
@@ -95,28 +96,27 @@ class WeightedSystem:
     def _stationary(self) -> tuple[np.ndarray | None, str | None]:
         if not self.strongly_connected:
             return None, None
-        if self.undirected:
-            w = self.w
-            with np.errstate(over="ignore"):
-                if math.isinf(w.sum()):
-                    # a power of two changes no ratio and brings the sum below inf
-                    w = np.ldexp(w, -int(np.frexp(w.max())[1]))
-            return w / w.sum(), "weights"
-        u, route = gmres_null_vector(self.d, self.listeners, self.sources), "gmres"
-        if u is None:
-            u, route = null_vector(self.lap.T), "dense"
-        v = self.w * u
+        v, route = self.w, "weights"
+        if not self.undirected:
+            u, route = gmres_null_vector(self.d, self.listeners, self.sources), "gmres"
+            if u is None:
+                u, route = null_vector(self.lap.T), "dense"
+            v = self.w * u
+        with np.errstate(over="ignore"):
+            if math.isinf(v.sum()):
+                # a power of two changes no ratio and brings the sum below inf
+                v = np.ldexp(v, -int(np.frexp(v.max())[1]))
         return v / v.sum(), route
 
     @property
     def v(self) -> np.ndarray | None:
         """Positive unit-l1 null vector of L_w^T, or None when the graph is not
         strongly connected.  Computed once per instance, by the route that
-        v_route names.
+        v_route names, and normalised once for every route: scaled by a power
+        of two when its sum overflows, then divided by its sum.
 
         On an undirected graph L is symmetric, so L^T 1 = 0 and v = w / sum(w)
-        exactly, with no solve ("weights"; w is first scaled by a power of two
-        when sum(w) overflows).  Otherwise v is solved on the
+        exactly, with no solve ("weights").  Otherwise v is solved on the
         integer Laplacian, which keeps the weight spread out of the matrix:
         L^T u = 0 gives L_w^T (W u) = 0, so v is W u rescaled.  u comes
         from restarted GMRES over the edge arrays, O(n + m) memory ("gmres");
@@ -133,14 +133,11 @@ class WeightedSystem:
 
 
 def build_system(graph: Digraph, w) -> WeightedSystem:
-    """Validate weights and take the edge arrays from the graph's sorted edge array."""
+    """Validate weights and take the edge arrays as views of the graph's sorted columns."""
     wv = as_vector(w, graph.n).copy()
     if wv.size and float(wv.min()) <= 0.0:
         raise ValueError("node weights must be strictly positive")
-    edges = graph._edge_array
-    # contiguous copies: the stepper indexes with them on every step
-    listeners = edges[:, 0].copy()
-    sources = edges[:, 1].copy()
+    listeners, sources = graph._edge_array.T
     d = np.bincount(listeners, minlength=graph.n)
     return WeightedSystem(graph=graph, w=wv, d=d, listeners=listeners, sources=sources)
 

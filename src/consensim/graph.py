@@ -50,13 +50,13 @@ class Digraph:
     after ``operator.index``, as a list can hold) raise ValueError.
 
     ``edges`` may be any iterable of pairs.  The graph stores them once, as
-    an (m, 2) intp array sorted by (listener, source); build_system and
-    is_strongly_connected read that array.  An (m, 2) integer array is
-    checked in bulk, any other iterable one pair at a time.  Either way the
-    first faulty pair in input order raises, with its checks in the order
-    above: a non-integer first, then a self-loop, an endpoint out of range,
-    a repeat.  ``edges`` reads back as a frozenset of int pairs, built on
-    each read.
+    a column-major (m, 2) intp array sorted by (listener, source), so each
+    column is contiguous; build_system and is_strongly_connected take the
+    columns as views.  An (m, 2) integer array is checked in bulk, any other
+    iterable one pair at a time.  Either way the first faulty pair in input
+    order raises, with its checks in the order above: a non-integer first,
+    then a self-loop, an endpoint out of range, a repeat.  ``edges`` reads
+    back as a frozenset of int pairs, built on each read.
     """
 
     __slots__ = ("_n", "_edge_array")
@@ -77,11 +77,16 @@ class Digraph:
             i, j = arr[:, 0], arr[:, 1]
             faulty = bool((i == j).any()) or int(arr.min()) < 0 or int(arr.max()) >= n
             if not faulty:
-                # a stable sort runs through presorted stretches in linear time
+                # a stable sort runs through presorted stretches in linear time;
+                # the sorted keys split straight into the columns of a column-major array
                 if n <= _KEY_MAX_NODES:
-                    arr = arr[np.argsort(i * n + j, kind="stable")]
+                    key = i * n + j
+                    key.sort(kind="stable")
+                    arr = np.empty(arr.shape, dtype=np.intp, order="F")
+                    np.divmod(key, n, out=(arr[:, 0], arr[:, 1]))
+                    del key  # before the duplicate test's temporaries, or the parse peak rises
                 else:
-                    arr = arr[np.lexsort((j, i))]
+                    arr = np.asfortranarray(arr[np.lexsort((j, i))])
                 faulty = bool((arr[1:] == arr[:-1]).all(axis=1).any())
             if faulty:
                 _checked_pairs(n, edges)

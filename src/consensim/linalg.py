@@ -162,14 +162,15 @@ def gmres_null_vector(d, listeners, sources) -> np.ndarray | None:
     # a breakdown only makes inf or nan, which the acceptance test rejects
     with np.errstate(all="ignore"):
         for cycle in range(_GMRES_MAX_RESTARTS + 1):
-            resid = np.abs(lap_t(u))
+            y = lap_t(u)
+            resid = np.abs(y)
             au = np.abs(u)
             # |L^T| |u|, compared by multiplying, so a zero row divides nothing
             scale = d * au + np.bincount(sources, weights=au[listeners], minlength=n)
             if cycle == _GMRES_MAX_RESTARTS or np.all(resid <= stop * scale):
                 break
-            r = -bordered(u)
-            r[-1] += 1.0
+            r = -y
+            r[-1] = 1.0 - u.sum()
             beta = float(np.linalg.norm(r))
             basis[0] = r / beta
             k = 0

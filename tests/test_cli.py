@@ -573,6 +573,77 @@ class TestRun:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestParser:
+    HELP_FLAGS = [
+        "--graph GRAPH",
+        "--weights WEIGHTS",
+        "--x0 X0",
+        "--epsilon EPSILON",
+        "--tol TOL",
+        "--max-steps MAX_STEPS",
+        "--mode {matrix,agents}",
+        "--allow-uncertified",
+        "--out OUT",
+        "--snapshots SNAPSHOTS",
+        "--seed SEED",
+    ]
+
+    @pytest.mark.parametrize("command", ["check", "run", "compare"])
+    def test_help_lists_every_flag_with_its_metavar(self, command, monkeypatch, capsys):
+        # argparse wraps its help text to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        usage = f"usage: consensim {command} [-h] --graph GRAPH [--weights WEIGHTS] [--x0 X0]"
+        assert out.startswith(usage)
+        for flag in self.HELP_FLAGS:
+            assert f"\n  {flag} " in out or f"\n  {flag}\n" in out, flag
+
+    @staticmethod
+    def loaded_configs(monkeypatch) -> list:
+        seen = []
+        load_problem = cli._load_problem
+
+        def spy(config):
+            seen.append(config)
+            return load_problem(config)
+
+        monkeypatch.setattr(cli, "_load_problem", spy)
+        return seen
+
+    def test_flags_not_given_leave_the_config_defaults(self, triangle, monkeypatch, capsys):
+        seen = self.loaded_configs(monkeypatch)
+        assert main(["check", "--graph", str(triangle)]) == 0
+        assert seen == [ExperimentConfig(graph_path=str(triangle))]
+
+    def test_every_flag_lands_on_its_config_field(self, triangle, tmp_path, monkeypatch, capsys):
+        seen = self.loaded_configs(monkeypatch)
+        w = write(tmp_path, "w.txt", "1\n2\n3\n")
+        x0 = write(tmp_path, "x0.txt", "6\n0\n0\n")
+        argv = ["run", "--graph", str(triangle), "--weights", str(w), "--x0", str(x0)]
+        argv += ["--epsilon", "1.2", "--tol", "1e-6", "--max-steps", "400", "--mode", "agents"]
+        argv += ["--allow-uncertified", "--out", str(tmp_path / "out"), "--snapshots", "9"]
+        argv += ["--seed", "5"]
+        assert main(argv) == 0
+        assert seen == [
+            ExperimentConfig(
+                graph_path=str(triangle),
+                weights_path=str(w),
+                x0_path=str(x0),
+                epsilon=1.2,
+                tol=1e-6,
+                max_steps=400,
+                mode="agents",
+                allow_uncertified=True,
+                out_dir=str(tmp_path / "out"),
+                snapshot_limit=9,
+                seed=5,
+            )
+        ]
+
+
 class TestCompare:
     def test_matching_modes_exit_0(self, tmp_path, triangle, capsys):
         rc = main(["compare", "--graph", str(triangle), "--seed", "3", "--out", str(tmp_path)])

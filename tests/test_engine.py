@@ -97,6 +97,27 @@ class TestBuildSystem:
         assert system.listeners.tolist() == [0, 0, 1, 2]
         assert system.sources.tolist() == [1, 2, 0, 0]
 
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: parse_edge_list("nodes 4\n3 2\n0 1\n2 0\n1 0\n0 3\n"),
+            # the # line sends the text through the line loop
+            lambda: parse_edge_list("# four edges\n3 2\n0 1\n2 0\n1 0\n"),
+            lambda: Digraph(3, [(2, 0), (0, 1), (1, 0), (0, 2)]),
+            lambda: Digraph(3, np.array([[2, 0], [0, 1], [1, 0], [0, 2]])),
+            lambda: Digraph(1, []),
+        ],
+        ids=["bulk", "line-loop", "list", "ndarray", "no-edges"],
+    )
+    def test_edge_arrays_are_contiguous_views_of_the_graphs_columns(self, make_graph):
+        g = make_graph()
+        system = build_system(g, np.ones(g.n))
+        for arr, column in [(system.listeners, 0), (system.sources, 1)]:
+            assert arr.flags.c_contiguous
+            np.testing.assert_array_equal(arr, g._edge_array[:, column])
+            # a zero-size array shares memory with nothing, but a view still has a base
+            assert np.shares_memory(arr, g._edge_array) if g.m else arr.base is not None
+
 
 class TestStationaryVector:
     def test_solved_on_the_integer_laplacian(self, monkeypatch):

@@ -298,3 +298,9 @@ class TestEdgeArrays:
             for arr, column in [(system.listeners, 0), (system.sources, 1)]:
                 assert arr.dtype == np.intp and arr.flags.c_contiguous
                 assert arr.tolist() == [e[column] for e in edges]
+
+    def test_past_the_sort_key_bound_the_columns_are_sorted_and_contiguous(self):
+        # i * n + j would overflow intp, so the pairs take the lexsort branch
+        g = Digraph(2**40, np.array([[5, 1], [0, 7], [5, 0]]))
+        assert g._edge_array.tolist() == [[0, 7], [5, 0], [5, 1]]
+        assert all(column.flags.c_contiguous for column in g._edge_array.T)
