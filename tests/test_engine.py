@@ -628,6 +628,19 @@ class TestRun:
         assert trace.converged_at is not None
         assert len(calls) == trace.steps_run
 
+    def test_a_stepper_returning_a_list_gives_the_same_run(self):
+        # the loop copies each returned state into its block, whatever its type
+        system = build_system(SLOW_CYCLE, random_weights(np.random.default_rng(9), 24))
+        eps = default_epsilon(system)
+        x0 = np.random.default_rng(10).uniform(-1.0, 1.0, 24)
+        inner = matrix_stepper(system, eps)
+        kwargs = dict(max_steps=700, snapshot_limit=20)
+        as_list = run(system, x0, eps, stepper=lambda x: inner(np.asarray(x)).tolist(), **kwargs)
+        as_array = run(system, x0, eps, stepper=inner, **kwargs)
+        assert_same_run(as_list, as_array)
+        assert as_list.predicted_alpha == as_array.predicted_alpha
+        assert as_list.conserved_drift == as_array.conserved_drift
+
     @pytest.mark.parametrize(
         "bad", [lambda x: np.array([x[0]]), lambda x: float(x[0])], ids=["one-entry", "float"]
     )

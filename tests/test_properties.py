@@ -5,8 +5,8 @@ cycles, bidirected stars, and a random cycle plus chords) and the weights
 spread over ten orders of magnitude, well past the 0.1-10 range the seeded
 tests draw from.  v comes from the weights on the stars and from GMRES on
 the directed graphs.  On request the draws add ring-plus-chords graphs of a
-few hundred nodes, on which GMRES takes more than one restart cycle.  One
-lockstep test draws graphs that need not be strongly connected, so that
+few hundred nodes, on which GMRES takes more than one restart cycle.  Two
+lockstep tests draw graphs that need not be strongly connected, so that
 agents with no, one and several neighbors mix.
 """
 
@@ -21,7 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from consensim.agents import agent_stepper, build_agents, run_rounds  # noqa: E402
+from consensim.agents import (  # noqa: E402
+    Agent,
+    agent_stepper,
+    build_agents,
+    run_rounds,
+    step_round,
+)
 from consensim.engine import (  # noqa: E402
     HypothesisViolation,
     build_system,
@@ -119,6 +125,48 @@ def test_agent_rounds_match_the_matrix_stepper_at_any_out_degree(seed, data):
         assert np.array(report.states, dtype=np.float64).tobytes() == x.tobytes(), report.round
         assert report.messages_sent == (len(system.sources) if report.round else 0)
         x = step(x)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_agent_driver_matches_the_matrix_stepper(seed, data):
+    # agent_stepper, run_rounds and repeated step_round calls on a graph
+    # with an isolated last node; the two round drivers also carry a
+    # hand-built agent that names neighbor 1 twice, whose update is spelled
+    # out here in local_update's order, the sum starting from 0.0
+    rng = np.random.default_rng(seed)
+    g = random_digraph(rng, n_lo=1, n_hi=9, dens_lo=0.0, dens_hi=0.6, require_strong=False)
+    g = Digraph(g.n + 1, g.edges)
+    n = g.n
+    system = build_system(g, random_weights(rng, n))
+    eps = default_epsilon(system)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    x0 = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    extra = data.draw(values)
+    m = len(system.sources) + 2
+    rounds = 40
+    networks = []
+    for _ in range(2):
+        agents = build_agents(system, x0)
+        agents.append(Agent(id=n, weight=1.5, state=extra, neighbors=(1, 1)))
+        networks.append(agents)
+    reports = run_rounds(networks[0], eps, rounds)
+    by_call = networks[1]
+    stepper = agent_stepper(system, x0, eps)
+    matrix = matrix_stepper(system, eps)
+    x = y = x0
+    for r in range(1, rounds + 1):
+        x1 = x[1]
+        extra = extra + (eps / 1.5) * (0.0 + (x1 - extra) + (x1 - extra))
+        x = matrix(x)
+        y = stepper(y)
+        assert step_round(by_call, eps) == m
+        want = np.append(x, extra).tobytes()
+        assert y.tobytes() == x.tobytes(), r
+        assert np.array(reports[r].states).tobytes() == want, r
+        assert reports[r].messages_sent == m
+        assert np.array([a.state for a in by_call]).tobytes() == want, r
+    assert all(a.inbox == () for agents in networks for a in agents)
 
 
 # budgets at and next to the run loop's block edges, plus anything up to 600
