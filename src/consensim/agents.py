@@ -4,7 +4,8 @@ Each agent owns its scalar state and updates it from received messages only;
 no agent reads another agent's fields.  A round publishes, then delivers:
 every committed state goes into one list, and each agent's inbox receives
 one message from that list per neighbor, message k from ``neighbors[k]``:
-a tuple of the published floats, filled in C, not by a Python loop.
+a tuple of the published floats, filled in C, not by a Python loop, by a
+gather built once per network (a lone step_round call builds its own).
 Every agent then computes its update from its inbox alone, and all updates
 are committed together, so all read the same committed snapshot.  An
 agent's neighbors are its run of the system's edges in (listener, source)
@@ -86,6 +87,28 @@ def build_agents(system: WeightedSystem, x0) -> list[Agent]:
     ]
 
 
+def _gatherer(neighbors: tuple[int, ...]) -> Callable[[list[float]], tuple[float, ...]]:
+    # itemgetter returns a bare value, not a tuple, for a single index
+    if len(neighbors) > 1:
+        return itemgetter(*neighbors)
+    if neighbors:
+        j = neighbors[0]
+        return lambda published: (published[j],)
+    return lambda published: ()
+
+
+def _round(agents: list[Agent], gathers: list, epsilon: float) -> list[float]:
+    # publish, deliver by each agent's gather, compute, commit; returns the commits
+    published = [a.state for a in agents]
+    for a, gather in zip(agents, gathers):
+        a.inbox = gather(published)
+    staged = [local_update(a, epsilon) for a in agents]
+    for a, value in zip(agents, staged):
+        a.state = value
+        a.inbox = ()
+    return staged
+
+
 def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
@@ -93,39 +116,28 @@ def step_round(agents: list[Agent], epsilon: float) -> int:
     message per neighbor, in neighbor order: its inbox is the tuple of the
     published floats, gathered by one itemgetter call when it has two or
     more neighbors.  Phase two computes every update from the inboxes
-    alone, then commits them all and empties the inboxes.
+    alone, then commits them all and empties the inboxes.  Each call builds
+    its own gathers; run_rounds and agent_stepper build them once a network.
     """
-    published = [a.state for a in agents]
-    sent = 0
-    for a in agents:
-        nb = a.neighbors
-        # itemgetter returns a bare value, not a tuple, for a single index
-        if len(nb) > 1:
-            a.inbox = itemgetter(*nb)(published)
-        else:
-            a.inbox = (published[nb[0]],) if nb else ()
-        sent += len(nb)
-    staged = [local_update(a, epsilon) for a in agents]
-    for a, value in zip(agents, staged):
-        a.state = value
-        a.inbox = ()
-    return sent
+    _round(agents, [_gatherer(a.neighbors) for a in agents], epsilon)
+    return sum(len(a.neighbors) for a in agents)
 
 
 def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundReport]:
     """Drive the network for a number of rounds, reporting after each.
 
     The report list starts with round 0 (the initial states, no messages);
-    rounds == 0 therefore yields exactly that single report.
+    rounds == 0 therefore yields exactly that single report.  The rounds are
+    step_round's, with the gathers built once for the whole call.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     reports = [RoundReport(round=0, states=tuple(a.state for a in agents), messages_sent=0)]
+    gathers = [_gatherer(a.neighbors) for a in agents]
+    sent = sum(len(a.neighbors) for a in agents)
     for r in range(1, rounds + 1):
-        sent = step_round(agents, epsilon)
-        reports.append(
-            RoundReport(round=r, states=tuple(a.state for a in agents), messages_sent=sent)
-        )
+        states = tuple(_round(agents, gathers, epsilon))
+        reports.append(RoundReport(round=r, states=states, messages_sent=sent))
     return reports
 
 
@@ -134,14 +146,16 @@ def agent_stepper(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Stepper backed by the agent network, for engine.run(..., stepper=...).
 
-    The agents own the state: the returned callable runs one more round and
-    returns the committed snapshot.  Its argument must be bitwise equal to
-    the agents' committed states (the initial states before the first
-    round), which is what the run loop feeds back; any other state raises
+    The agents own the state: the returned callable runs one more round, as
+    step_round does but with gathers built once for the network, and returns
+    the committed snapshot.  Its argument must be bitwise equal to the
+    agents' committed states (the initial states before the first round),
+    which is what the run loop feeds back; any other state raises
     MessageProtocolError naming the first differing node instead of
     silently desynchronizing the two views.
     """
     agents = build_agents(system, x0)
+    gathers = [_gatherer(a.neighbors) for a in agents]
     # kept as bytes so a caller mutating a returned array cannot alter it
     committed = np.array([a.state for a in agents], dtype=np.float64).tobytes()
 
@@ -158,8 +172,7 @@ def agent_stepper(
                 f"stepper fed a state that differs from the agents' committed states "
                 f"at node {node}"
             )
-        step_round(agents, epsilon)
-        snapshot = np.array([a.state for a in agents], dtype=np.float64)
+        snapshot = np.array(_round(agents, gathers, epsilon), dtype=np.float64)
         committed = snapshot.tobytes()
         return snapshot
 

@@ -331,6 +331,7 @@ def run(
     alpha = float(v @ x) if v is not None else math.nan
 
     check_each_step = stepper is not None
+    shape = (system.n,)
     if stepper is None:
         stepper = matrix_stepper(system, eps)
 
@@ -391,13 +392,13 @@ def run(
             if check_each_step:
                 for i in range(size):
                     x = stepper(x)
-                    if np.shape(x) != (system.n,):
-                        raise ValueError(
-                            f"stepper returned shape {np.shape(x)}, expected {(system.n,)}"
-                        )
-                    buf[i] = x
+                    # np.shape, not x.shape: a stepper may return a list or a scalar
+                    if np.shape(x) != shape:
+                        raise ValueError(f"stepper returned shape {np.shape(x)}, expected {shape}")
+                    cur = buf[i]
+                    cur[...] = x
                     # end the block on a row the block test may stop at, before the next call
-                    if not tol <= buf[i].max() - buf[i].min() < math.inf:
+                    if not tol <= np.maximum.reduce(cur) - np.minimum.reduce(cur) < math.inf:
                         size = i + 1
                         break
             else:

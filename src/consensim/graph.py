@@ -225,6 +225,7 @@ def _bulk_graph(text: str) -> Digraph | None:
         and gaps.max() <= _MAX_DIGITS + 1
     ):
         return None
+    del b, delimiters, gaps  # checked; kept through Digraph's sort they raise the peak
     pairs = np.fromstring(body, dtype=np.intp, sep=" ").reshape(-1, 2)
     n = declared if declared is not None else int(pairs.max(initial=-1)) + 1
     try:

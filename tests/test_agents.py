@@ -196,6 +196,31 @@ class TestLockstepWithMatrixEngine:
             stepper(fed)
         np.testing.assert_array_equal(stepper(x1), matrix_stepper(system, 0.9)(x1))
 
+    def test_a_network_builds_its_gathers_once(self, monkeypatch):
+        # agent 0 listens to 1, 2 and 3, agent 1 to 0, agent 2 to 0 and 3,
+        # agents 3 and 4 to nobody: 50 steps make one itemgetter for each of
+        # agents 0 and 2, not one per round
+        made = []
+        real = consensim.agents.itemgetter
+
+        def counted(*items):
+            made.append(items)
+            return real(*items)
+
+        monkeypatch.setattr(consensim.agents, "itemgetter", counted)
+        system = build_system(
+            parse_edge_list("nodes 5\n0 1\n0 2\n0 3\n1 0\n2 0\n2 3\n"), np.ones(5)
+        )
+        x0 = np.array([4.0, -1.0, 2.5, 0.0, 7.0])
+        stepper = agent_stepper(system, x0, 0.2)
+        step = matrix_stepper(system, 0.2)
+        x = y = x0
+        for _ in range(50):
+            x = stepper(x)
+            y = step(y)
+        assert x.tobytes() == y.tobytes()
+        assert made == [(1, 2, 3), (0, 3)]
+
     def test_heavy_weight_ratio_still_bit_identical(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n0 2\n")
         system = build_system(g, [0.1, 10.0, 5.0])

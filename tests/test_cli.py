@@ -864,6 +864,16 @@ class TestEntrypoint:
         )
         assert proc.returncode == 2
 
+    def test_the_console_script_smoke_test_passes(self, tmp_path):
+        # the script CI runs against the installed console script, here
+        # against this source tree
+        script = Path(__file__).resolve().parent / "console_script.sh"
+        env = {**module_env(), "CONSENSIM": f"{sys.executable} -m consensim"}
+        proc = subprocess.run(
+            ["bash", str(script)], cwd=tmp_path, capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_the_benchmark_set_up_probe_loads_this_checkout(self):
         # bench/setup_probe.py imports ExperimentConfig and _load_problem by
         # name; a rename would otherwise surface only as a failed benchmark run

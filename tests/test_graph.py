@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     laplacian,
     random_digraph,
     random_undirected_digraph,
+    ring_with_chords,
     strongly_connected_oracle,
 )
 
@@ -182,6 +185,22 @@ class TestParseEdgeList:
         # the counter is live: a set of pairs is checked one at a time
         Digraph(4, {(0, 1)})
         assert calls == [4]
+
+    def test_the_bulk_parse_frees_its_byte_view_before_building_the_graph(self):
+        # m = 80,000: the body after the header, the parsed pairs and Digraph's
+        # sort peak at about 6.4 bytes per text byte; the byte view and its two
+        # delimiter index arrays, kept alive into Digraph, add 2.2 more
+        n = 20_000
+        g = ring_with_chords(np.random.default_rng(5), n, 3)
+        text = f"nodes {n}\n" + "".join(f"{i} {j}\n" for i, j in sorted(g.edges))
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.edges == g.edges
+        assert peak < 7.5 * len(text)
 
 
 class TestDegreesAndLaplacian:
