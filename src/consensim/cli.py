@@ -28,6 +28,7 @@ from .engine import (
     HypothesisViolation,
     RunTrace,
     WeightedSystem,
+    _check_limits,
     _step_size,
     build_system,
     certify,
@@ -49,7 +50,7 @@ EXIT_MISMATCH = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration for one experiment, shared by all subcommands."""
+    """Validated configuration for one experiment; its run limits pass run's own check."""
 
     graph_path: str
     weights_path: str | None = None
@@ -64,13 +65,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max-steps must be at least 1")
-        if not self.snapshot_limit >= 2:
-            raise ValueError("snapshots must be at least 2")
-        operator.index(self.max_steps), operator.index(self.snapshot_limit)  # TypeError for 2.5
+        _check_limits(self.tol, self.max_steps, self.snapshot_limit)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         operator.index(self.seed)

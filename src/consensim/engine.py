@@ -279,6 +279,17 @@ class RunTrace:
         return self.disagreement[-1]
 
 
+def _check_limits(tol: float, max_steps: int, snapshot_limit: int) -> tuple[int, int]:
+    """max_steps and snapshot_limit as ints; TypeError for 2.5, not deep in run's loop."""
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    if not snapshot_limit >= 2:
+        raise ValueError("snapshots must be at least 2")
+    return operator.index(max_steps), operator.index(snapshot_limit)
+
+
 def run(
     system: WeightedSystem,
     x0,
@@ -302,25 +313,14 @@ def run(
     tracked; otherwise those fields are nan.
 
     stepper replaces the built-in matrix update with any callable mapping a
-    state vector to the next state; the stopping rule and trace recording
-    are unchanged, which is how the message-passing simulator is driven
-    through the identical reporting path.  A caller's stepper is called
-    exactly once per step, each time with the state it last returned, and
-    every state it returns is checked against the stopping rule before the
-    next call; a returned state whose shape is not (n,) raises ValueError.
-    The built-in stepper is pure, so states are stepped in blocks and
-    checked per block; the steps a block takes past the stopping step are
-    discarded.
+    state vector to the next state, which is how the message-passing
+    simulator is driven through the identical reporting path.  A caller's
+    stepper is called exactly once per step, each time with the state it
+    last returned, and never past the stopping step; a returned state whose
+    shape is not (n,) raises ValueError.  The built-in stepper is pure, so
+    the steps its blocks take past the stopping step are discarded.
     """
-    if not (0.0 < tol < math.inf):
-        raise ValueError("tol must be positive and finite")
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    if not snapshot_limit >= 2:
-        raise ValueError("snapshots must be at least 2")
-    # a TypeError for 2.5 here, not deep in the loop; numpy integers pass
-    max_steps = operator.index(max_steps)
-    snapshot_limit = operator.index(snapshot_limit)
+    max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
     x = as_vector(x0, system.n).copy()
     eps = float(epsilon) if epsilon is not None else default_epsilon(system)
     failed = certify(system, eps)
@@ -330,13 +330,7 @@ def run(
     v = system.v
     alpha = float(v @ x) if v is not None else math.nan
 
-    check_each_step = stepper is not None
-    shape = (system.n,)
-    if stepper is None:
-        stepper = matrix_stepper(system, eps)
-
-    x0_scale = float(np.max(np.abs(x)))
-    drift_denom = x0_scale if x0_scale > 0.0 else 1.0
+    drift_denom = float(np.max(np.abs(x))) or 1.0
 
     keep_states = system.n <= _MAX_INLINE_STATE
 
@@ -346,6 +340,33 @@ def run(
         state = blk[r].copy() if keep_states else None
         return step, float(dis[r]), cons, float(lo[r]), float(hi[r]), state
 
+    def may_stop(state: np.ndarray) -> bool:
+        # the reader may stop at this state: its disagreement is below tol or not finite
+        return not tol <= np.maximum.reduce(state) - np.minimum.reduce(state) < math.inf
+
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // system.n)), system.n))
+    buf[0] = x
+    step = matrix_stepper(system, eps) if stepper is None else stepper
+
+    def fill(size: int) -> int:
+        # steps the next block into buf[:size] and returns its rows; a caller's stepper
+        # may keep state, so it stops at the first row the reader may stop at
+        nonlocal x
+        if stepper is None:
+            for i in range(size):
+                x = buf[i] = step(x)
+            return size
+        for i in range(size):
+            x = step(x)
+            # np.shape, not x.shape: a stepper may return a list or a scalar
+            if np.shape(x) != (system.n,):
+                raise ValueError(f"stepper returned shape {np.shape(x)}, expected {(system.n,)}")
+            state = buf[i]
+            state[...] = x
+            if may_stop(state):
+                return i + 1
+        return size
+
     # rows on the multiples of one power-of-two stride from 0; at
     # snapshot_limit rows every second one goes and the stride doubles,
     # which leaves room for the final step
@@ -353,11 +374,9 @@ def run(
     stride = 1
     cons_min = math.inf
     cons_max = -math.inf
-    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // system.n)), system.n))
-    buf[0] = x
-    # the block is buf[:size], holding steps k .. k + size - 1
-    k = 0
-    size = 1
+    # the reader (the loop) alone decides stops, records rows and tracks the
+    # drift in the block buf[:size], which holds steps k .. k + size - 1
+    k, size = 0, 1
     # an uncertified run may overflow; the loop detects that itself, so
     # numpy's overflow and invalid-value warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,33 +397,17 @@ def run(
                 cons = blk[: last + 1] @ v
                 cons_min = min(cons_min, float(np.fmin.reduce(cons)))
                 cons_max = max(cons_max, float(np.fmax.reduce(cons)))
-            step = -(-k // stride) * stride
-            while step <= k + last:
-                rows.append(row(step, step - k))
+            due = -(-k // stride) * stride
+            while due <= k + last:
+                rows.append(row(due, due - k))
                 if len(rows) == snapshot_limit:
                     rows = rows[::2]
                     stride *= 2
-                step = -(-(step + 1) // stride) * stride
+                due = -(-(due + 1) // stride) * stride
             if stops.size or k + last == max_steps:
                 break
             k += size
-            size = min(2 * size, len(buf), max_steps - k + 1)
-            if check_each_step:
-                for i in range(size):
-                    x = stepper(x)
-                    # np.shape, not x.shape: a stepper may return a list or a scalar
-                    if np.shape(x) != shape:
-                        raise ValueError(f"stepper returned shape {np.shape(x)}, expected {shape}")
-                    cur = buf[i]
-                    cur[...] = x
-                    # end the block on a row the block test may stop at, before the next call
-                    if not tol <= np.maximum.reduce(cur) - np.minimum.reduce(cur) < math.inf:
-                        size = i + 1
-                        break
-            else:
-                for i in range(size):
-                    x = stepper(x)
-                    buf[i] = x
+            size = fill(min(2 * size, len(buf), max_steps - k + 1))
         if rows[-1][0] != k + last:
             rows.append(row(k + last, last))
     steps, disagreement, conserved, x_min, x_max, states = map(list, zip(*rows))
