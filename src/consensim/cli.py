@@ -4,7 +4,8 @@ compare steps both modes in lockstep from the same state, checks every step
 bitwise, and reports the exact first divergent step and node.
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation,
-3 non-convergence within the step budget, 4 mode mismatch in compare.
+3 no convergence (the step budget ran out, or the state diverged or
+cycled), 4 mode mismatch in compare.
 """
 
 from __future__ import annotations
@@ -281,6 +282,14 @@ def cmd_run(config, system, x0, eps) -> int:
     if trace.stop_reason == "diverged":
         print(
             f"state diverged at step {trace.steps_run}: disagreement is not finite",
+            file=sys.stderr,
+        )
+    elif trace.stop_reason == "cycled":
+        start = trace.steps_run - trace.cycle_period
+        print(
+            f"state at step {trace.steps_run} repeats step {start} exactly "
+            f"(period {trace.cycle_period}): the disagreement never falls below "
+            f"{_fmt(trace.cycle_floor)}",
             file=sys.stderr,
         )
     elif trace.stop_reason == "budget":

@@ -247,17 +247,21 @@ class RunTrace:
     parallel to it, and so is states up to _MAX_INLINE_STATE nodes (empty
     above).  final_state is the state at steps_run; certified says whether
     the hypotheses held.  converged_at is the first step whose disagreement
-    dropped below the tolerance, or None when the budget ran out or the
-    state diverged first; a diverged run ends at the first step whose state
-    has a non-finite entry.  A finite state whose disagreement overflows to
-    inf has not diverged.  stop_reason says how the run ended: "converged",
-    "diverged" or "budget".  conserved_drift is the spread of the conserved
-    quantity over every step of the run, recorded or not, relative to
-    max|x0| (nan when the conserved functional is unavailable or a
-    conserved value is not finite).  The drift's extremes come from one
-    matrix-vector product per block of steps, so they can differ from a
-    per-step v . x in the last bits; each recorded conserved value is the
-    per-step v . x of its state.
+    dropped below the tolerance, or None when the run ended otherwise; a
+    diverged run ends at the first step whose state has a non-finite entry.
+    A finite state whose disagreement overflows to inf has not diverged.
+    stop_reason says how the run ended: "converged", "diverged", "cycled"
+    or "budget".  A cycled run ends at the first step whose state repeats,
+    bitwise, the one run saved last (see run); cycle_period is the distance
+    between the two steps, the exact period of the cycle, and cycle_floor
+    the least disagreement on that cycle, below which no later step can
+    fall.  Both are None unless the run cycled.  conserved_drift is the
+    spread of the conserved quantity over every step of the run, recorded
+    or not, relative to max|x0| (nan when the conserved functional is
+    unavailable or a conserved value is not finite).  The drift's extremes
+    come from one matrix-vector product per block of steps, so they can
+    differ from a per-step v . x in the last bits; each recorded conserved
+    value is the per-step v . x of its state.
     """
 
     steps: list[int]
@@ -273,6 +277,8 @@ class RunTrace:
     conserved_drift: float
     certified: bool
     stop_reason: str
+    cycle_period: int | None = None
+    cycle_floor: float | None = None
 
     @property
     def final_disagreement(self) -> float:
@@ -302,8 +308,15 @@ def run(
     stepper: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RunTrace:
     """Iterate the consensus update until the disagreement max(x) - min(x)
-    falls below tol, the state diverges (an entry stops being finite), or
-    max_steps updates have been applied.
+    falls below tol, the state diverges (an entry stops being finite), the
+    state repeats an earlier one bitwise (it cycles), or max_steps updates
+    have been applied.
+
+    One float step is a deterministic map on a finite set of states, so a
+    run that cannot reach tol ends in an exact cycle.  Brent's test finds it
+    with one saved state: the state at each of the steps 0, 1, 2, 4, 8, ...
+    is saved, and every later state is compared with it bitwise, so a run
+    that enters a cycle of period p at step mu stops by step 2 max(mu, p) + p.
 
     Refuses to run an uncertified configuration (epsilon at or above the
     bound, or a graph that is not strongly connected), naming the failed
@@ -316,9 +329,11 @@ def run(
     state vector to the next state, which is how the message-passing
     simulator is driven through the identical reporting path.  A caller's
     stepper is called exactly once per step, each time with the state it
-    last returned, and never past the stopping step; a returned state whose
-    shape is not (n,) raises ValueError.  The built-in stepper is pure, so
-    the steps its blocks take past the stopping step are discarded.
+    last returned, and never past the stopping step, a cycled one included:
+    each state it returns is checked against the stopping rule, and saved
+    if it falls on a save step, before the next call.  A returned state
+    whose shape is not (n,) raises ValueError.  The built-in stepper is
+    pure, so the steps its blocks take past the stopping step are discarded.
     """
     max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
     x = as_vector(x0, system.n).copy()
@@ -340,9 +355,14 @@ def run(
         state = blk[r].copy() if keep_states else None
         return step, float(dis[r]), cons, float(lo[r]), float(hi[r]), state
 
-    def may_stop(state: np.ndarray) -> bool:
-        # the reader may stop at this state: its disagreement is below tol or not finite
-        return not tol <= np.maximum.reduce(state) - np.minimum.reduce(state) < math.inf
+    def may_stop(step: int, state: np.ndarray) -> bool:
+        # the reader may stop at this state: its disagreement is below tol or
+        # not finite, or it repeats the saved state; or the reader saves it
+        return (
+            not tol <= np.maximum.reduce(state) - np.minimum.reduce(state) < math.inf
+            or step == save_at
+            or state.tobytes() == saved
+        )
 
     buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // system.n)), system.n))
     buf[0] = x
@@ -363,7 +383,7 @@ def run(
                 raise ValueError(f"stepper returned shape {np.shape(x)}, expected {(system.n,)}")
             state = buf[i]
             state[...] = x
-            if may_stop(state):
+            if may_stop(k + i, state):
                 return i + 1
         return size
 
@@ -374,6 +394,10 @@ def run(
     stride = 1
     cons_min = math.inf
     cons_max = -math.inf
+    # Brent's cycle test: the state saved at the last save step 0, 1, 2, 4, ...,
+    # its disagreement, and the least disagreement of the steps after it
+    saved, saved_dis, saved_at, save_at, floor = b"", math.nan, 0, 0, math.inf
+    period = None
     # the reader (the loop) alone decides stops, records rows and tracks the
     # drift in the block buf[:size], which holds steps k .. k + size - 1
     k, size = 0, 1
@@ -392,6 +416,23 @@ def run(
                 diverged[diverged] = ~np.isfinite(blk[diverged]).all(axis=1)
             stops = np.flatnonzero((dis < tol) | diverged)
             last = int(stops[0]) if stops.size else size - 1
+            # a state that repeats the saved one bitwise repeats its cycle forever;
+            # only rows with the saved disagreement are compared
+            r = 0
+            while r <= last and period is None:
+                end = min(last, save_at - k)
+                same = r + np.flatnonzero(dis[r : end + 1] == saved_dis)
+                if same.size:
+                    bits = blk[same].view(np.uint64) == np.frombuffer(saved, np.uint64)
+                    same = same[bits.all(axis=1)]
+                if same.size:
+                    last = end = int(same[0])
+                    period = k + end - saved_at
+                floor = min(floor, float(dis[r : end + 1].min()))
+                if k + end == save_at and period is None:
+                    saved, saved_dis, saved_at = blk[end].tobytes(), dis[end], save_at
+                    save_at, floor = 2 * save_at or 1, math.inf
+                r = end + 1
             if v is not None:
                 # fmin/fmax skip nan as the Python min/max below do
                 cons = blk[: last + 1] @ v
@@ -404,7 +445,7 @@ def run(
                     rows = rows[::2]
                     stride *= 2
                 due = -(-(due + 1) // stride) * stride
-            if stops.size or k + last == max_steps:
+            if stops.size or period is not None or k + last == max_steps:
                 break
             k += size
             size = fill(min(2 * size, len(buf), max_steps - k + 1))
@@ -416,7 +457,10 @@ def run(
     # be, since a non-finite v . x means a non-finite state, which ends the
     # loop
     drift = (cons_max - cons_min) / drift_denom if math.isfinite(conserved[-1]) else math.nan
-    stop_reason = "converged" if dis[last] < tol else "diverged" if diverged[last] else "budget"
+    stop_reason = (
+        "converged" if dis[last] < tol else "diverged" if diverged[last]
+        else "cycled" if period is not None else "budget"
+    )
     return RunTrace(
         steps=steps,
         states=states if keep_states else [],
@@ -431,4 +475,6 @@ def run(
         conserved_drift=drift,
         certified=not failed,
         stop_reason=stop_reason,
+        cycle_period=period,
+        cycle_floor=floor if period is not None else None,
     )

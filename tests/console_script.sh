@@ -31,3 +31,9 @@ $CONSENSIM run --graph triangle.txt --weights w.txt --x0 x0.txt --epsilon 1.2 \
 grep -q '"mode": "agents"' every-flag/summary.json
 grep -q '"epsilon": 1.2,' every-flag/summary.json
 $CONSENSIM run -h | grep -q -- "--snapshots SNAPSHOTS"
+# a tol below one ulp is never reached: the run stops on its exact cycle, exit 3
+status=0
+$CONSENSIM run --graph triangle.txt --tol 1e-300 --max-steps 5000 --out stalled \
+  2> stalled.err || status=$?
+test "$status" -eq 3
+grep -q "^state at step [0-9]* repeats step [0-9]* exactly (period [0-9]*)" stalled.err

@@ -435,6 +435,8 @@ def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
     assert trace.converged_at == ref.converged_at
     assert trace.stop_reason == ref.stop_reason
     assert trace.steps_run == ref.steps_run
+    assert trace.cycle_period == ref.cycle_period
+    assert trace.cycle_floor == ref.cycle_floor
 
 
 class _ReferenceSampler:
@@ -473,7 +475,10 @@ def reference_run(
 
     Each step's disagreement, v . x, conserved min/max and sampler offer are
     computed before the next step is taken, so this is the plain reading of
-    the loop that engine.run evaluates a block of steps at a time.  Like
+    the loop that engine.run evaluates a block of steps at a time.  Brent's
+    cycle test is the same plain reading: each state after step 0 is
+    compared bitwise with the state saved last, then saved itself when its
+    step is a power of two.  Like
     engine.run it keeps the recorded states only up to _MAX_INLINE_STATE
     nodes.  It does not validate its arguments or refuse uncertified
     configurations.
@@ -493,6 +498,8 @@ def reference_run(
     cons_min = math.inf
     cons_max = -math.inf
     converged_at: int | None = None
+    period: int | None = None
+    saved, saved_at, floor = x.tobytes(), 0, math.inf
     k = 0
     # an uncertified run may overflow; the loop detects that itself, so
     # numpy's overflow and invalid-value warnings would only be noise
@@ -514,6 +521,15 @@ def reference_run(
                 # diverged: no later step can bring the state back below tol
                 stop_reason = "diverged"
                 break
+            if k > 0:
+                floor = min(floor, dis)
+                if x.tobytes() == saved:
+                    # the run repeats the states from saved_at to k forever
+                    period = k - saved_at
+                    stop_reason = "cycled"
+                    break
+                if k & (k - 1) == 0:
+                    saved, saved_at, floor = x.tobytes(), k, math.inf
             if k >= max_steps:
                 stop_reason = "budget"
                 break
@@ -539,4 +555,6 @@ def reference_run(
         conserved_drift=drift,
         certified=not certify(system, eps),
         stop_reason=stop_reason,
+        cycle_period=period,
+        cycle_floor=floor if period is not None else None,
     )

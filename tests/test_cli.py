@@ -792,10 +792,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tol": 0.0},
-            {"tol": -1e-3},
             {"max_steps": 0},
-            {"snapshot_limit": 1},
             {"seed": -1},
             {"mode": "hybrid"},
             {"epsilon": 0.0},
@@ -806,22 +803,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(graph_path="g.txt", **kwargs)
 
-    def test_rejects_a_snapshot_limit_of_nan(self):
-        # run tests "not snapshot_limit >= 2", which nan fails
-        with pytest.raises(ValueError, match="snapshots must be at least 2"):
-            ExperimentConfig(graph_path="g", snapshot_limit=float("nan"))
-
     @pytest.mark.parametrize("field", ["max_steps", "snapshot_limit", "seed"])
     def test_rejects_a_count_that_is_not_an_integer(self, field):
         # run would raise the same TypeError, out of cmd_run; a seed of 2.5
         # would draw seed 2's stream
         with pytest.raises(TypeError):
             ExperimentConfig(graph_path="g", **{field: 2.5})
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            ExperimentConfig(graph_path="g.txt", tol=tol)
 
     def test_rejects_a_seed_of_nan(self):
         # nan passes "seed < 0" and would fail only once x0 is drawn
@@ -830,6 +817,40 @@ class TestExperimentConfig:
 
     def test_accepts_a_numpy_integer_seed(self):
         assert ExperimentConfig(graph_path="g", seed=np.int64(3)).seed == 3
+
+
+class TestRunLimits:
+    """ExperimentConfig and engine.run reject a bad run limit alike: one check, one message."""
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"tol": 0.0}, ValueError, "tol must be positive and finite"),
+            ({"tol": -1.0}, ValueError, "tol must be positive and finite"),
+            # every comparison with nan is false, so "tol <= 0" would let it
+            # through and the run could only end on its budget
+            ({"tol": float("nan")}, ValueError, "tol must be positive and finite"),
+            ({"tol": float("inf")}, ValueError, "tol must be positive and finite"),
+            ({"tol": float("-inf")}, ValueError, "tol must be positive and finite"),
+            # a trace always holds the first and the final step
+            ({"snapshot_limit": 1}, ValueError, "snapshots must be at least 2"),
+            ({"snapshot_limit": 0}, ValueError, "snapshots must be at least 2"),
+            ({"snapshot_limit": -5}, ValueError, "snapshots must be at least 2"),
+            # "not snapshot_limit >= 2" fails nan
+            ({"snapshot_limit": float("nan")}, ValueError, "snapshots must be at least 2"),
+            # 2.5 fails at once, neither inside the loop nor truncated
+            ({"max_steps": 2.5}, TypeError, "cannot be interpreted as an integer"),
+            ({"snapshot_limit": 2.9}, TypeError, "cannot be interpreted as an integer"),
+        ],
+    )
+    def test_the_config_and_run_raise_the_same_error(self, kwargs, error, message):
+        with pytest.raises(error, match=message) as from_config:
+            ExperimentConfig(graph_path="g", **kwargs)
+        system = build_system(parse_edge_list(TRIANGLE), np.ones(3))
+        with pytest.raises(error, match=message) as from_run:
+            engine.run(system, [1.0, 2.0, 3.0], **{"max_steps": 10, **kwargs})
+        assert type(from_config.value) is type(from_run.value)
+        assert str(from_config.value) == str(from_run.value)
 
 
 def module_env():

@@ -668,13 +668,6 @@ class TestRun:
             with pytest.raises(ValueError, match="positive and finite"):
                 run(system, [1.0, 2.0, 3.0], epsilon=bad, override_uncertified=True)
 
-    @pytest.mark.parametrize("limit", [0, 1, -5, math.nan])
-    def test_rejects_a_snapshot_limit_below_two(self, limit):
-        # a trace always holds the first and the final step
-        system = build_system(THREE_CYCLE, np.ones(3))
-        with pytest.raises(ValueError, match="snapshots must be at least 2"):
-            run(system, [1.0, 2.0, 3.0], snapshot_limit=limit)
-
     @pytest.mark.parametrize(
         "budget", [{"max_steps": 2.5}, {"snapshot_limit": 2.9}], ids=["max_steps", "snapshots"]
     )
@@ -693,14 +686,6 @@ class TestRun:
         trace = run(system, [9.0, 0.0, 0.0], max_steps=np.int64(3), snapshot_limit=np.int32(3))
         assert trace.steps == [0, 2, 3]
         assert trace.steps_run == 3
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_tolerance_that_is_not_finite(self, bad):
-        # every comparison with nan is false, so "tol <= 0" let it through
-        # and the run could only end on its budget
-        system = build_system(THREE_CYCLE, np.ones(3))
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            run(system, [1.0, 2.0, 3.0], tol=bad, max_steps=10)
 
 
 SLOW_CYCLE = Digraph(n=24, edges=frozenset((i, (i + 1) % 24) for i in range(24)))
@@ -945,6 +930,7 @@ class TestRunRecord:
 
 
 PATH = parse_edge_list("0 1\n1 0\n1 2\n2 1\n")
+ISOLATED = parse_edge_list("nodes 3\n")
 
 
 class TestStopReason:
@@ -959,43 +945,69 @@ class TestStopReason:
             (THREE_CYCLE, default_initial_state(3, 0), None, 3, "budget", 3),
             # the spread is inf at step 0, yet every entry stays finite
             (PATH, np.array([1.7e308, 0.0, -1.7e308]), None, 10_000, "converged", None),
+            # eps = 1 makes P a permutation: x(3) = x(0), x(7) = x(4) repeats the save at 4
+            (THREE_CYCLE, default_initial_state(3, 0), 1.0, 10_000, "cycled", 7),
+            # no edges: x(1) = x(0)
+            (ISOLATED, default_initial_state(3, 0), None, 10_000, "cycled", 1),
         ],
-        ids=["converged", "diverged", "budget", "spread-overflows"],
+        ids=["converged", "diverged", "budget", "spread-overflows", "cycled-permutation",
+             "cycled-isolated"],
     )
     def test_stop_reason(self, mode, graph, x0, epsilon, max_steps, reason, steps_run):
         system = build_system(graph, np.ones(graph.n))
         eps = default_epsilon(system) if epsilon is None else epsilon
-        stepper = agent_stepper(system, x0, eps) if mode == "agents" else None
+        calls = []
+        if mode == "agents":
+            inner = agent_stepper(system, x0, eps)
+
+            def stepper(x):
+                calls.append(1)
+                return inner(x)
+
+        else:
+            stepper = None
         trace = run(
             system, x0, eps, max_steps=max_steps, override_uncertified=True, stepper=stepper
         )
         assert trace.stop_reason == reason
         assert (trace.converged_at is not None) == (reason == "converged")
+        assert (trace.cycle_period is not None) == (reason == "cycled")
         if steps_run is not None:
             assert trace.steps_run == steps_run
+        if mode == "agents":
+            # a stateful stepper is never called past the stopping step
+            assert len(calls) == trace.steps_run
         assert_same_run(trace, reference_run(system, x0, eps, max_steps=max_steps))
 
 
-class TestKnownDefects:
-    """Defects ROADMAP lists as open; the change that mends one turns its xfail into a test."""
+class TestCycled:
+    """A run that cannot reach tol stops on its exact float cycle (Brent's test)."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1, case 1: a stalled run spins its whole budget",
-    )
     def test_a_stalled_five_cycle_stops_before_its_budget(self):
-        # the disagreement stalls at 1.86e-9, above the default tol
-        trace = run(build_system(FIVE_CYCLE, np.ones(5)), [1e7, 0, 0, 0, 0], max_steps=5000)
-        assert trace.steps_run < 5000
+        # the disagreement stalls at 1.86e-9, above the default tol; the cycle
+        # starts at step 540 with period 5, and the save at step 1024 finds it
+        system = build_system(FIVE_CYCLE, np.ones(5))
+        x0 = [1e7, 0, 0, 0, 0]
+        trace = run(system, x0, max_steps=5000)
+        assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 1029, 5)
+        assert trace.cycle_floor == trace.final_disagreement == 1.862645149230957e-09
+        assert_same_run(trace, reference_run(system, x0, max_steps=5000))
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1, case 2: a tol below one ulp is never reached",
-    )
     def test_a_triangle_stalled_at_one_ulp_stops_before_its_budget(self):
+        # the cycle starts at step 228 with period 3, one ulp of 0.447 wide
         system = build_system(THREE_CYCLE, np.ones(3))
-        trace = run(system, default_initial_state(3, 0), tol=1e-300, max_steps=5000)
-        assert trace.steps_run < 5000
+        x0 = default_initial_state(3, 0)
+        trace = run(system, x0, tol=1e-300, max_steps=5000)
+        assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 259, 3)
+        assert trace.cycle_floor == 2.220446049250313e-16
+        assert_same_run(trace, reference_run(system, x0, tol=1e-300, max_steps=5000))
 
+    @pytest.mark.parametrize("max_steps", [256, 258, 259])
+    def test_the_budget_and_the_cycle_stop_at_their_own_steps(self, max_steps):
+        # the repeat at 259 is found only once the run gets there
+        system = build_system(THREE_CYCLE, np.ones(3))
+        x0 = default_initial_state(3, 0)
+        trace = run(system, x0, tol=1e-300, max_steps=max_steps)
+        assert trace.steps_run == max_steps
+        assert trace.stop_reason == ("cycled" if max_steps == 259 else "budget")
+        assert_same_run(trace, reference_run(system, x0, tol=1e-300, max_steps=max_steps))
