@@ -115,6 +115,7 @@ CASES = {
     "check-triangle-uncertified": ["check", "--graph", T, "--epsilon", "1"],
     "run-triangle-uncertified": run("--graph", T, "--epsilon", "1"),
     "compare-triangle-uncertified": compare("--graph", T, "--epsilon", "1"),
+    # eps = 1 makes P a permutation: x(3) = x(0), and the run cycles
     "run-triangle-allow-uncertified": run(
         "--graph", T, "--epsilon", "1", "--allow-uncertified", "--max-steps", "50"
     ),
@@ -158,11 +159,12 @@ CASES = {
     ),
     "check-nodes3": ["check", "--graph", "{in}/nodes3.txt"],
     "run-nodes3": run("--graph", "{in}/nodes3.txt"),
-    # rounds of agents without neighbours: every inbox stays empty
+    # rounds of agents without neighbours: every inbox stays empty, and
+    # x(1) = x(0) ends the run as cycled
     "run-nodes3-agents": run(
         "--graph", "{in}/nodes3.txt", "--allow-uncertified", "--max-steps", "5", "--mode", "agents"
     ),
-    # stalled runs spin out their step cap (ROADMAP item 1 will stop them)
+    # stalled runs stop on their exact float cycle, long before their step cap
     "run-five-cycle-stalled": run(
         "--graph", "{in}/five-cycle.txt", "--x0", "{in}/five-cycle-x0.txt", "--max-steps", "5000"
     ),
