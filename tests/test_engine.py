@@ -983,24 +983,51 @@ class TestStopReason:
 class TestCycled:
     """A run that cannot reach tol stops on its exact float cycle (Brent's test)."""
 
-    def test_a_stalled_five_cycle_stops_before_its_budget(self):
+    @staticmethod
+    def stalled_run(mode, system, x0, **kwargs):
+        # the run in the given mode, checked against the reference; in agents
+        # mode the stepper must not be called past the stopping step
+        calls = []
+        inner = agent_stepper(system, x0, default_epsilon(system)) if mode == "agents" else None
+
+        def spy(x):
+            calls.append(1)
+            return inner(x)
+
+        trace = run(system, x0, stepper=None if inner is None else spy, max_steps=5000, **kwargs)
+        assert_same_run(trace, reference_run(system, x0, max_steps=5000, **kwargs))
+        assert len(calls) == (0 if inner is None else trace.steps_run)
+        return trace
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_a_stalled_five_cycle_stops_before_its_budget(self, mode):
         # the disagreement stalls at 1.86e-9, above the default tol; the cycle
         # starts at step 540 with period 5, and the save at step 1024 finds it
-        system = build_system(FIVE_CYCLE, np.ones(5))
-        x0 = [1e7, 0, 0, 0, 0]
-        trace = run(system, x0, max_steps=5000)
+        trace = self.stalled_run(mode, build_system(FIVE_CYCLE, np.ones(5)), [1e7, 0, 0, 0, 0])
         assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 1029, 5)
         assert trace.cycle_floor == trace.final_disagreement == 1.862645149230957e-09
-        assert_same_run(trace, reference_run(system, x0, max_steps=5000))
 
-    def test_a_triangle_stalled_at_one_ulp_stops_before_its_budget(self):
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_a_triangle_stalled_at_one_ulp_stops_before_its_budget(self, mode):
         # the cycle starts at step 228 with period 3, one ulp of 0.447 wide
         system = build_system(THREE_CYCLE, np.ones(3))
-        x0 = default_initial_state(3, 0)
-        trace = run(system, x0, tol=1e-300, max_steps=5000)
+        trace = self.stalled_run(mode, system, default_initial_state(3, 0), tol=1e-300)
         assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 259, 3)
         assert trace.cycle_floor == 2.220446049250313e-16
-        assert_same_run(trace, reference_run(system, x0, tol=1e-300, max_steps=5000))
+
+    def test_the_floor_is_the_least_disagreement_on_the_cycle(self):
+        # a caller's map whose cycle [0, 2] -> [0, 1] -> [0, 2] changes its
+        # disagreement: step 4 repeats the state saved at step 2
+        system = build_system(SYMMETRIC_PAIR, np.ones(2))
+        following = {4.0: 3.0, 3.0: 2.0, 2.0: 1.0, 1.0: 2.0}
+
+        def step(x):
+            return np.array([0.0, following[x[1]]])
+
+        trace = run(system, [0.0, 4.0], stepper=step)
+        assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 4, 2)
+        assert (trace.cycle_floor, trace.final_disagreement) == (1.0, 2.0)
+        assert_same_run(trace, reference_run(system, [0.0, 4.0], stepper=step))
 
     @pytest.mark.parametrize("max_steps", [256, 258, 259])
     def test_the_budget_and_the_cycle_stop_at_their_own_steps(self, max_steps):
