@@ -58,6 +58,13 @@ INPUT_FILES = {
     "five-cycle-x0.txt": b"1e7\n0\n0\n0\n0\n",
     "ring100-x0-zeros.txt": b"-0.0\n0.0\n" * 50,
     "ring100-x0-huge.txt": b"1.7e308\n-1.7e308\n" * 50,
+    "undirected-triangle.txt": b"0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n",
+    # node 0's first term is -0.0 - 0.0 = -0.0, which a sum from 0.0 turns into +0.0
+    "undirected-triangle-x0-zeros.txt": b"0.0\n-0.0\n1.0\n",
+    # the complete digraph: every node listens to the 16 others
+    "complete17.txt": b"".join(
+        b"%d %d\n" % (i, j) for i in range(17) for j in range(17) if i != j
+    ),
     # i -> i + 1, i -> i - 1 and i -> i - 2 without wraparound
     "chain100.txt": b"".join(
         [b"%d %d\n" % (i, i + 1) for i in range(99)]
@@ -176,6 +183,16 @@ CASES = {
     "run-ring100-signed-zeros-agents": run(
         "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-zeros.txt", "--mode", "agents"
     ),
+    # signed zeros that the run steps: the spread is 1
+    "run-undirected-triangle-signed-zeros": run(
+        "--graph", "{in}/undirected-triangle.txt", "--x0", "{in}/undirected-triangle-x0-zeros.txt"
+    ),
+    "run-undirected-triangle-signed-zeros-agents": run(
+        "--graph", "{in}/undirected-triangle.txt", "--x0", "{in}/undirected-triangle-x0-zeros.txt",
+        "--mode", "agents",
+    ),
+    # a dense regular graph, out-degree 16
+    "compare-complete-17": compare("--graph", "{in}/complete17.txt"),
     "run-ring100-huge": run(
         "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-huge.txt", "--max-steps", "200"
     ),
