@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import WeightedSystem
+from .engine import WeightedSystem, _step_size
 from .linalg import as_vector
 
 
@@ -128,8 +128,10 @@ def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundRe
 
     The report list starts with round 0 (the initial states, no messages);
     rounds == 0 therefore yields exactly that single report.  The rounds are
-    step_round's, with the gathers built once for the whole call.
+    step_round's, with the gathers built once for the whole call.  Raises
+    ValueError when epsilon is not positive and finite.
     """
+    epsilon = _step_size(epsilon)
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     reports = [RoundReport(round=0, states=tuple(a.state for a in agents), messages_sent=0)]
@@ -152,8 +154,10 @@ def agent_stepper(
     agents' committed states (the initial states before the first round),
     which is what the run loop feeds back; any other state raises
     MessageProtocolError naming the first differing node instead of
-    silently desynchronizing the two views.
+    silently desynchronizing the two views.  Raises ValueError when epsilon
+    is not positive and finite.
     """
+    epsilon = _step_size(epsilon)
     agents = build_agents(system, x0)
     gathers = [_gatherer(a.neighbors) for a in agents]
     # kept as bytes so a caller mutating a returned array cannot alter it

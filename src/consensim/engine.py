@@ -218,22 +218,51 @@ def predict(system: WeightedSystem, x0) -> SpectralPrediction:
     return SpectralPrediction(v=v, alpha=alpha, rho_estimate=rho)
 
 
-def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[[np.ndarray], np.ndarray]:
-    """One synchronous update as a callable on state vectors.
+def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[..., np.ndarray]:
+    """One synchronous update as a callable step(x, out=None) on state vectors.
 
     Evaluates x_i + (eps / w_i) * sum_j (x_j - x_i) over edges in ascending
-    (listener, source) order; np.bincount accumulates each node's sum left
-    to right, reproducing the simulator's per-agent loop bit for bit.
-    """
-    ratios = epsilon / system.w
-    listeners = system.listeners
-    sources = system.sources
-    n = system.n
+    (listener, source) order and returns it, written into out when given (out
+    may be x itself).  Raises ValueError when epsilon is not positive and
+    finite.  Each node's sum runs left to right over its sources, as the
+    simulator's per-agent loop does, by one of two folds:
 
-    def step(x: np.ndarray) -> np.ndarray:
-        diffs = x[sources] - x[listeners]
-        sums = np.bincount(listeners, weights=diffs, minlength=n)
-        return x + ratios * sums
+    - when every node listens to the same number d >= 1 of sources, a
+      column fold: the sources reshaped to d contiguous columns, column k
+      holding each node's k-th source, built once (one m-length index
+      table); each step gathers and adds one column at a time;
+    - otherwise np.bincount over the edges.
+
+    np.bincount and the agents' loop start each sum at 0.0 and add the
+    first term to it; the column fold starts at the first term.  0.0 + t
+    equals t except that it turns t = -0.0 into +0.0, and every later
+    partial sum is then the same again unless all terms so far are zeros.
+    So the folds can differ only in the sign of a zero sum, and only when
+    every term is -0.0.  A term x_j - x_i is -0.0 only when x_i = +0.0, so
+    the update x_i + r * (+-0.0) is +0.0 either way: the two folds, and the
+    agents, step bit for bit alike.
+    """
+    ratios = _step_size(epsilon) / system.w
+    listeners, sources, d, n = system.listeners, system.sources, system.d, system.n
+
+    if d[0] > 0 and (d == d[0]).all():
+        first, *rest = np.ascontiguousarray(sources.reshape(n, int(d[0])).T)
+
+        def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            sums = x[first] - x
+            for column in rest:
+                t = x[column]
+                t -= x
+                sums += t
+            sums *= ratios
+            return np.add(x, sums, out)
+
+    else:
+
+        def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            sums = np.bincount(listeners, weights=x[sources] - x[listeners], minlength=n)
+            # out of place: without edges np.bincount returns int64 zeros
+            return np.add(x, ratios * sums, out)
 
     return step
 
@@ -332,7 +361,8 @@ def run(
     last returned, and never past the stopping step, a cycled one included:
     each state it returns is checked against the stopping rule, and saved
     if it falls on a save step, before the next call.  A returned state
-    whose shape is not (n,) raises ValueError.  The built-in stepper is
+    whose shape is not (n,) raises ValueError.  The built-in stepper writes
+    each step straight into its row of the block, step(x, out=row), and is
     pure, so the steps its blocks take past the stopping step are discarded.
     """
     max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
@@ -373,8 +403,8 @@ def run(
         # may keep state, so it stops at the first row the reader may stop at
         nonlocal x
         if stepper is None:
-            for i in range(size):
-                x = buf[i] = step(x)
+            for state in buf[:size]:
+                x = step(x, state)
             return size
         for i in range(size):
             x = step(x)

@@ -102,6 +102,15 @@ class TestRounds:
         with pytest.raises(ValueError, match="nonnegative"):
             run_rounds(agents, 0.5, -1)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5, np.inf])
+    def test_rejects_a_step_size_that_is_not_positive_and_finite(self, bad):
+        # as run and certify do; no round is taken, not even for rounds == 0
+        system, agents = make_agents("0 1\n1 0\n", np.ones(2), [1.0, 0.0])
+        for rounds in (0, 3):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                run_rounds(agents, bad, rounds)
+        assert [a.state for a in agents] == [1.0, 0.0]
+
     def test_updates_commit_only_after_all_messages_computed(self):
         # 1 listens to 0 and 0 listens to 2; committing agent 0 in place
         # before agent 1 reads would give agent 1 the value 4 instead of 2
@@ -195,6 +204,19 @@ class TestLockstepWithMatrixEngine:
         with pytest.raises(MessageProtocolError, match="node 2"):
             stepper(fed)
         np.testing.assert_array_equal(stepper(x1), matrix_stepper(system, 0.9)(x1))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5, np.inf])
+    def test_agent_stepper_rejects_a_step_size_that_is_not_positive_and_finite(self, bad):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            agent_stepper(system, [6.0, 0.0, 0.0], bad)
+
+    def test_agent_stepper_takes_an_uncertified_step_size(self):
+        # above the bound 1 is the caller's choice, as with --allow-uncertified
+        system = build_system(THREE_CYCLE, np.ones(3))
+        x0 = np.array([6.0, 0.0, 0.0])
+        x1 = agent_stepper(system, x0, 1.5)(x0)
+        assert x1.tobytes() == matrix_stepper(system, 1.5)(x0).tobytes()
 
     def test_a_network_builds_its_gathers_once(self, monkeypatch):
         # agent 0 listens to 1, 2 and 3, agent 1 to 0, agent 2 to 0 and 3,

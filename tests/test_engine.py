@@ -41,6 +41,19 @@ from helpers import (
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
 SYMMETRIC_PAIR = parse_edge_list("0 1\n1 0\n")
+# both directions of every 4-neighbour edge: out-degrees 2, 3 and 4
+GRID_8X8 = Digraph(
+    n=64,
+    edges=frozenset(
+        (8 * r + c, 8 * rr + cc)
+        for r in range(8)
+        for c in range(8)
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+        if 0 <= rr < 8 and 0 <= cc < 8
+    ),
+)
+# out-degree 3 at every node
+RING_WITH_CHORDS = ring_with_chords(np.random.default_rng(5), 12, 2)
 
 
 def operator_draws(count: int = 300):
@@ -322,6 +335,59 @@ class TestBuildIterationMatrix:
                 build_iteration_matrix(system, bad)
             with pytest.raises(ValueError, match="positive and finite"):
                 certify(system, bad)
+
+
+STEPPER_GRAPHS = {
+    "regular": RING_WITH_CHORDS,
+    "irregular": GRID_8X8,
+    "nodes-1": parse_edge_list("nodes 1\n"),
+}
+
+
+class TestMatrixStepper:
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, math.inf])
+    def test_rejects_a_step_size_that_is_not_positive_and_finite(self, bad):
+        system = build_system(THREE_CYCLE, np.ones(3))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            matrix_stepper(system, bad)
+
+    def test_takes_an_uncertified_step_size(self):
+        # above the bound 1: each node moves past its one neighbour
+        system = build_system(THREE_CYCLE, np.ones(3))
+        assert matrix_stepper(system, 1.5)(np.array([6.0, 0.0, 0.0])).tolist() == [-3.0, 0.0, 9.0]
+
+    @pytest.mark.parametrize("into", ["row", "x"])
+    @pytest.mark.parametrize("graph", STEPPER_GRAPHS.values(), ids=STEPPER_GRAPHS.keys())
+    def test_a_step_into_out_returns_out_bitwise_equal_to_a_fresh_step(self, graph, into):
+        rng = np.random.default_rng(graph.n)
+        system = build_system(graph, random_weights(rng, graph.n))
+        step = matrix_stepper(system, default_epsilon(system))
+        x = rng.uniform(-1.0, 1.0, graph.n)
+        x[::4], x[1::4] = 0.0, -0.0
+        want = step(x)
+        out = x if into == "x" else np.full((2, graph.n), np.nan)[1]
+        got = step(x, out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "graph, calls", [(RING_WITH_CHORDS, 0), (GRID_8X8, 10)], ids=["regular", "grid-8x8"]
+    )
+    def test_only_an_irregular_graph_steps_by_bincount(self, graph, calls, monkeypatch):
+        system = build_system(graph, np.ones(graph.n))
+        step = matrix_stepper(system, default_epsilon(system))
+        counted = []
+        bincount = np.bincount
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        x = np.arange(float(graph.n))
+        for _ in range(10):
+            x = step(x)
+        assert len(counted) == calls
 
 
 class TestScaleInvariance:

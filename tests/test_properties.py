@@ -54,16 +54,21 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, 
 def certified_configurations(draw, large=False):
     """(system, eps) with a strongly connected graph and eps below the bound.
 
-    large adds ring-plus-chords graphs of 385 to 483 nodes, built from a
-    drawn seed.
+    "ring-with-chords" draws rings of 3 to 30 nodes with 1 to 3 chords per
+    node, so every node has the same out-degree; large adds such graphs of
+    385 to 483 nodes with 1 to 4 chords.  Both are built from a drawn seed.
     """
-    families = ["cycle", "star", "cycle-with-chords"] + (["large"] if large else [])
-    family = draw(st.sampled_from(families))
-    if family == "large":
+    families = ["cycle", "star", "cycle-with-chords", "ring-with-chords"]
+    family = draw(st.sampled_from(families + (["large"] if large else [])))
+    if family in ("ring-with-chords", "large"):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = int(rng.integers(385, 484))
-        g = ring_with_chords(rng, n, int(rng.integers(1, 5)))
-        system = build_system(g, 10.0 ** rng.uniform(-5.0, 5.0, n))
+        if family == "large":
+            n = int(rng.integers(385, 484))
+            chords = int(rng.integers(1, 5))
+        else:
+            n = int(rng.integers(3, 31))
+            chords = int(rng.integers(1, min(3, n - 2) + 1))
+        system = build_system(ring_with_chords(rng, n, chords), 10.0 ** rng.uniform(-5.0, 5.0, n))
         factor = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         eps = factor * epsilon_bound(system)
         assume(eps > 0.0 and certify(system, eps) == [])
@@ -111,9 +116,15 @@ def test_agent_and_matrix_steppers_agree_bitwise(config, data):
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_agent_rounds_match_the_matrix_stepper_at_any_out_degree(seed, data):
     # graphs that need not be strongly connected, so agents with no, one
-    # and several neighbors mix; signed zeros travel through the messages
+    # and several neighbors mix, and rings with 0 to 3 chords per node, whose
+    # out-degree 1 to 4 is the same at every node; signed zeros travel
+    # through the messages
     rng = np.random.default_rng(seed)
-    g = random_digraph(rng, n_lo=1, n_hi=10, dens_lo=0.0, dens_hi=0.6, require_strong=False)
+    if data.draw(st.booleans()):
+        n = int(rng.integers(2, 11))
+        g = ring_with_chords(rng, n, int(rng.integers(0, min(3, n - 2) + 1)))
+    else:
+        g = random_digraph(rng, n_lo=1, n_hi=10, dens_lo=0.0, dens_hi=0.6, require_strong=False)
     system = build_system(g, random_weights(rng, g.n))
     eps = default_epsilon(system)
     values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
