@@ -20,6 +20,11 @@ grep -qx "traces identical: true" compare.out
 printf '0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n' > undirected.txt
 $CONSENSIM compare --graph undirected.txt > compare-undirected.out
 grep -qx "traces identical: true" compare-undirected.out
+# the path's out-degrees are 1, 2 and 1: the matrix step sums by np.bincount,
+# where the two triangles above, every node at one out-degree, sum by columns
+printf '0 1\n1 0\n1 2\n2 1\n' > path.txt
+$CONSENSIM compare --graph path.txt > compare-path.out
+grep -qx "traces identical: true" compare-path.out
 $CONSENSIM run --graph triangle.txt --mode agents --out agents-out
 test -s agents-out/trace.csv && test -s agents-out/summary.json
 # every shared flag set: each must reach its ExperimentConfig field

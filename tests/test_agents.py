@@ -211,13 +211,6 @@ class TestLockstepWithMatrixEngine:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             agent_stepper(system, [6.0, 0.0, 0.0], bad)
 
-    def test_agent_stepper_takes_an_uncertified_step_size(self):
-        # above the bound 1 is the caller's choice, as with --allow-uncertified
-        system = build_system(THREE_CYCLE, np.ones(3))
-        x0 = np.array([6.0, 0.0, 0.0])
-        x1 = agent_stepper(system, x0, 1.5)(x0)
-        assert x1.tobytes() == matrix_stepper(system, 1.5)(x0).tobytes()
-
     def test_a_network_builds_its_gathers_once(self, monkeypatch):
         # agent 0 listens to 1, 2 and 3, agent 1 to 0, agent 2 to 0 and 3,
         # agents 3 and 4 to nobody: 50 steps make one itemgetter for each of

@@ -351,11 +351,6 @@ class TestMatrixStepper:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             matrix_stepper(system, bad)
 
-    def test_takes_an_uncertified_step_size(self):
-        # above the bound 1: each node moves past its one neighbour
-        system = build_system(THREE_CYCLE, np.ones(3))
-        assert matrix_stepper(system, 1.5)(np.array([6.0, 0.0, 0.0])).tolist() == [-3.0, 0.0, 9.0]
-
     @pytest.mark.parametrize("into", ["row", "x"])
     @pytest.mark.parametrize("graph", STEPPER_GRAPHS.values(), ids=STEPPER_GRAPHS.keys())
     def test_a_step_into_out_returns_out_bitwise_equal_to_a_fresh_step(self, graph, into):
