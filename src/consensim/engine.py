@@ -235,12 +235,13 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[..., np.n
 
     np.bincount and the agents' loop start each sum at 0.0 and add the
     first term to it; the column fold starts at the first term.  0.0 + t
-    equals t except that it turns t = -0.0 into +0.0, and every later
-    partial sum is then the same again unless all terms so far are zeros.
-    So the folds can differ only in the sign of a zero sum, and only when
-    every term is -0.0.  A term x_j - x_i is -0.0 only when x_i = +0.0, so
-    the update x_i + r * (+-0.0) is +0.0 either way: the two folds, and the
-    agents, step bit for bit alike.
+    equals t except that it turns t = -0.0 into +0.0, so the two running
+    sums differ, -0.0 against +0.0, only while every term so far is -0.0,
+    and agree from the first other term on.  So the folds can differ only
+    in the sign of a zero sum, and only when every term is -0.0.  A term
+    x_j - x_i is -0.0 only when x_i = +0.0, so the update x_i + r * (+-0.0)
+    is +0.0 either way: the two folds, and the agents, step bit for bit
+    alike.
     """
     ratios = _step_size(epsilon) / system.w
     listeners, sources, d, n = system.listeners, system.sources, system.d, system.n
