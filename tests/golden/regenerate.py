@@ -176,6 +176,10 @@ CASES = {
         "--graph", "{in}/five-cycle.txt", "--x0", "{in}/five-cycle-x0.txt", "--max-steps", "5000"
     ),
     "run-triangle-stalled-tol-1e-300": run("--graph", T, "--tol", "1e-300", "--max-steps", "5000"),
+    # the lockstep stepper stops on the cycle too, and both traces agree
+    "compare-triangle-stalled-tol-1e-300": compare(
+        "--graph", T, "--tol", "1e-300", "--max-steps", "5000"
+    ),
     "run-ring100-signed-zeros": run(
         "--graph", "{in}/ring100.txt", "--x0", "{in}/ring100-x0-zeros.txt"
     ),
