@@ -777,7 +777,7 @@ class TestBlockedLoop:
         assert calls == []
 
     @pytest.mark.parametrize("mode", ["matrix", "agents"])
-    @pytest.mark.parametrize("max_steps", [0, 1, 255, 256, 257, 511])
+    @pytest.mark.parametrize("max_steps", [0, 1, 255, 256, 257, 511, 512, 513, 768, 769])
     def test_budget_at_block_edges(self, max_steps, mode):
         # the 24-cycle needs about 7000 steps, so each budget runs out
         system = build_system(SLOW_CYCLE, np.ones(24))
@@ -956,6 +956,7 @@ class TestRecordsCompareByIdentity:
 
 
 FIVE_CYCLE = Digraph(n=5, edges=frozenset((i, (i + 1) % 5) for i in range(5)))
+CYCLE_300 = Digraph(n=300, edges=frozenset((i, (i + 1) % 300) for i in range(300)))
 
 
 class TestRunRecord:
@@ -1089,6 +1090,28 @@ class TestCycled:
         assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 4, 2)
         assert (trace.cycle_floor, trace.final_disagreement) == (1.0, 2.0)
         assert_same_run(trace, reference_run(system, [0.0, 4.0], stepper=step))
+
+    @pytest.mark.parametrize("mode", ["matrix", "agents"])
+    def test_a_cycle_longer_than_a_block_is_found(self, mode):
+        # at eps = 1 the unit 300-cycle's P is a cyclic shift, so x(300) = x(0);
+        # a block holds 32768 // 300 = 109 rows, and the save at step 512
+        # finds the repeat 300 steps later
+        system = build_system(CYCLE_300, np.ones(300))
+        x0 = np.arange(300.0)
+        calls = []
+        inner = agent_stepper(system, x0, 1.0) if mode == "agents" else None
+
+        def spy(x):
+            calls.append(1)
+            return inner(x)
+
+        trace = run(
+            system, x0, 1.0, override_uncertified=True, stepper=None if inner is None else spy
+        )
+        assert (trace.stop_reason, trace.steps_run, trace.cycle_period) == ("cycled", 812, 300)
+        assert trace.cycle_floor == 299.0
+        assert len(calls) == (0 if inner is None else 812)
+        assert_same_run(trace, reference_run(system, x0, 1.0))
 
     @pytest.mark.parametrize("max_steps", [256, 258, 259])
     def test_the_budget_and_the_cycle_stop_at_their_own_steps(self, max_steps):
