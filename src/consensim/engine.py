@@ -28,7 +28,7 @@ DEFAULT_SNAPSHOT_LIMIT = 1000
 FALLBACK_EPSILON = 1.0
 
 # run steps into a buffer of at most this many rows, and at most this many
-# floats (256 KiB), doubling the rows per block from 1
+# floats (256 KiB); a block also ends at the cycle test's next save step
 _BLOCK_ROWS = 256
 _BLOCK_FLOATS = 32768
 
@@ -347,6 +347,9 @@ def run(
     with one saved state: the state at each of the steps 0, 1, 2, 4, 8, ...
     is saved, and every later state is compared with it bitwise, so a run
     that enters a cycle of period p at step mu stops by step 2 max(mu, p) + p.
+    The run steps in blocks of at most _BLOCK_ROWS rows and _BLOCK_FLOATS
+    floats, and a block ends at the next save step at the latest, so each
+    block's states are all compared with one saved state.
 
     Refuses to run an uncertified configuration (epsilon at or above the
     bound, or a graph that is not strongly connected), naming the failed
@@ -361,10 +364,11 @@ def run(
     stepper is called exactly once per step, each time with the state it
     last returned, and never past the stopping step, a cycled one included:
     each state it returns is checked against the stopping rule, and saved
-    if it falls on a save step, before the next call.  A returned state
-    whose shape is not (n,) raises ValueError.  The built-in stepper writes
-    each step straight into its row of the block, step(x, out=row), and is
-    pure, so the steps its blocks take past the stopping step are discarded.
+    if it falls on a save step (the end of its block), before the next
+    call.  A returned state whose shape is not (n,) raises ValueError.  The
+    built-in stepper writes each step straight into its row of the block,
+    step(x, out=row), and is pure, so the steps its blocks take past the
+    stopping step are discarded.
     """
     max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
     x = as_vector(x0, system.n).copy()
@@ -386,12 +390,11 @@ def run(
         state = blk[r].copy() if keep_states else None
         return step, float(dis[r]), cons, float(lo[r]), float(hi[r]), state
 
-    def may_stop(step: int, state: np.ndarray) -> bool:
+    def may_stop(state: np.ndarray) -> bool:
         # the reader may stop at this state: its disagreement is below tol or
-        # not finite, or it repeats the saved state; or the reader saves it
+        # not finite, or it repeats the saved state
         return (
             not tol <= np.maximum.reduce(state) - np.minimum.reduce(state) < math.inf
-            or step == save_at
             or state.tobytes() == saved
         )
 
@@ -414,7 +417,7 @@ def run(
                 raise ValueError(f"stepper returned shape {np.shape(x)}, expected {(system.n,)}")
             state = buf[i]
             state[...] = x
-            if may_stop(k + i, state):
+            if may_stop(state):
                 return i + 1
         return size
 
@@ -426,8 +429,9 @@ def run(
     cons_min = math.inf
     cons_max = -math.inf
     # Brent's cycle test: the state saved at the last save step 0, 1, 2, 4, ...,
-    # its disagreement, and the least disagreement of the steps after it
-    saved, saved_dis, saved_at, save_at, floor = b"", math.nan, 0, 0, math.inf
+    # its disagreement, and the least disagreement of the steps after it; x0
+    # stands in until step 0 is saved, and its nan disagreement matches no row
+    saved, saved_dis, saved_at, save_at, floor = x.tobytes(), math.nan, 0, 0, math.inf
     period = None
     # the reader (the loop) alone decides stops, records rows and tracks the
     # drift in the block buf[:size], which holds steps k .. k + size - 1
@@ -449,21 +453,16 @@ def run(
             last = int(stops[0]) if stops.size else size - 1
             # a state that repeats the saved one bitwise repeats its cycle forever;
             # only rows with the saved disagreement are compared
-            r = 0
-            while r <= last and period is None:
-                end = min(last, save_at - k)
-                same = r + np.flatnonzero(dis[r : end + 1] == saved_dis)
-                if same.size:
-                    bits = blk[same].view(np.uint64) == np.frombuffer(saved, np.uint64)
-                    same = same[bits.all(axis=1)]
-                if same.size:
-                    last = end = int(same[0])
-                    period = k + end - saved_at
-                floor = min(floor, float(dis[r : end + 1].min()))
-                if k + end == save_at and period is None:
-                    saved, saved_dis, saved_at = blk[end].tobytes(), dis[end], save_at
-                    save_at, floor = 2 * save_at or 1, math.inf
-                r = end + 1
+            same = np.flatnonzero(dis[: last + 1] == saved_dis)
+            bits = blk[same].view(np.uint64) == np.frombuffer(saved, np.uint64)
+            same = same[bits.all(axis=1)]
+            if same.size:
+                last = int(same[0])
+                period = k + last - saved_at
+            floor = min(floor, float(dis[: last + 1].min()))
+            if k + last == save_at and period is None:
+                saved, saved_dis, saved_at = blk[last].tobytes(), dis[last], save_at
+                save_at, floor = 2 * save_at or 1, math.inf
             if v is not None:
                 # fmin/fmax skip nan as the Python min/max below do
                 cons = blk[: last + 1] @ v
@@ -479,7 +478,7 @@ def run(
             if stops.size or period is not None or k + last == max_steps:
                 break
             k += size
-            size = fill(min(2 * size, len(buf), max_steps - k + 1))
+            size = fill(min(len(buf), save_at - k + 1, max_steps - k + 1))
         if rows[-1][0] != k + last:
             rows.append(row(k + last, last))
     steps, disagreement, conserved, x_min, x_max, states = map(list, zip(*rows))

@@ -753,7 +753,7 @@ SLOW_CYCLE = Digraph(n=24, edges=frozenset((i, (i + 1) % 24) for i in range(24))
 
 
 class TestBlockedLoop:
-    """run steps states in blocks of 1, 2, 4, ... 256 rows; its edges."""
+    """run's blocks end at the save steps 0, 1, 2, 4, ... and hold at most 256 rows; its edges."""
 
     @pytest.mark.parametrize("mode", ["matrix", "agents"])
     def test_converged_at_step_zero_takes_no_step(self, mode, monkeypatch):
