@@ -116,11 +116,11 @@ def step_round(agents: list[Agent], epsilon: float) -> int:
     message per neighbor, in neighbor order: its inbox is the tuple of the
     published floats, gathered by one itemgetter call when it has two or
     more neighbors.  Phase two computes every update from the inboxes
-    alone, then commits them all and empties the inboxes.  Each call builds
-    its own gathers; run_rounds and agent_stepper build them once a network.
+    alone, then commits them all and empties the inboxes.  It is one round
+    of run_rounds, so each call builds its own gathers and raises ValueError
+    when epsilon is not positive and finite.
     """
-    _round(agents, [_gatherer(a.neighbors) for a in agents], epsilon)
-    return sum(len(a.neighbors) for a in agents)
+    return run_rounds(agents, epsilon, 1)[-1].messages_sent
 
 
 def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundReport]:

@@ -111,6 +111,13 @@ class TestRounds:
                 run_rounds(agents, bad, rounds)
         assert [a.state for a in agents] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5, np.inf])
+    def test_a_round_rejects_a_step_size_that_is_not_positive_and_finite(self, bad):
+        system, agents = make_agents("0 1\n1 2\n2 0\n", np.ones(3), [9.0, 0.0, 3.0])
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            step_round(agents, bad)
+        assert [a.state for a in agents] == [9.0, 0.0, 3.0]
+
     def test_updates_commit_only_after_all_messages_computed(self):
         # 1 listens to 0 and 0 listens to 2; committing agent 0 in place
         # before agent 1 reads would give agent 1 the value 4 instead of 2
