@@ -297,11 +297,11 @@ def read_vector_file(path, n: int, label: str) -> np.ndarray:
 
 
 def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
-    # a search from node 0 along the edges tail -> head, over CSR rows: the
-    # heads of u's edges are adjacent[start[u]:start[u + 1]]
+    # a search from node 0 along the edges tail -> head, over CSR rows: heads
+    # comes grouped by tail, so u's heads are adjacent[start[u]:start[u + 1]]
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(tails, minlength=n), out=start[1:])
-    adjacent = heads[np.argsort(tails, kind="stable")].tolist()
+    adjacent = heads.tolist()
     start = start.tolist()
     seen = bytearray(n)
     seen[0] = 1
@@ -325,4 +325,5 @@ def is_strongly_connected(g: Digraph) -> bool:
     having a single strongly connected component.
     """
     listeners, sources = g._edge_array.T
-    return _reaches_all(g.n, listeners, sources) and _reaches_all(g.n, sources, listeners)
+    reached = _reaches_all(g.n, listeners, sources)
+    return reached and _reaches_all(g.n, sources, listeners[np.argsort(sources, kind="stable")])
