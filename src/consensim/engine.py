@@ -347,9 +347,8 @@ def run(
     with one saved state: the state at each of the steps 0, 1, 2, 4, 8, ...
     is saved, and every later state is compared with it bitwise, so a run
     that enters a cycle of period p at step mu stops by step 2 max(mu, p) + p.
-    The run steps in blocks of at most _BLOCK_ROWS rows and _BLOCK_FLOATS
-    floats, and a block ends at the next save step at the latest, so each
-    block's states are all compared with one saved state.
+    A block of steps ends at the next save step at the latest, so all its
+    states are compared with one saved state.
 
     Refuses to run an uncertified configuration (epsilon at or above the
     bound, or a graph that is not strongly connected), naming the failed

@@ -42,3 +42,7 @@ $CONSENSIM run --graph triangle.txt --tol 1e-300 --max-steps 5000 --out stalled 
   2> stalled.err || status=$?
 test "$status" -eq 3
 grep -q "^state at step [0-9]* repeats step [0-9]* exactly (period [0-9]*)" stalled.err
+# the lockstep comparison stops on that cycle too; it exits 0 with both traces alike
+$CONSENSIM compare --graph triangle.txt --tol 1e-300 --max-steps 5000 > compare-stalled.out
+grep -qx "converged: false" compare-stalled.out
+grep -qx "traces identical: true" compare-stalled.out
