@@ -36,6 +36,10 @@ INPUT_FILES = {
     "path.txt": b"0 1\n1 0\n1 2\n2 1\n",
     "path-x0.txt": b"1.7e308\n0\n-1.7e308\n",
     "pair.txt": b"0 1\n1 0\n",
+    # every node reaches node 2, which reaches no node
+    "forward-only.txt": b"0 1\n1 0\n0 2\n",
+    # node 0 reaches no node
+    "arc.txt": b"1 0\n",
     "pair-x0.txt": b"1.7e308\n-1.7e308\n",
     # weights and x0 files: a comment, a blank line, CRLF endings, no final newline
     "w-comment.txt": b"# weights\r\n\r\n1\r\n2\r\n3",
@@ -152,6 +156,11 @@ CASES = {
         "--graph", "{in}/pair.txt", "--x0", "{in}/pair-x0.txt", "--mode", "agents"
     ),
     "check-nodes1": ["check", "--graph", "{in}/nodes1.txt"],
+    # the graph facts on edges: the two-way path is undirected and strongly
+    # connected; the search from node 0 fails backward, then forward
+    "check-path": ["check", "--graph", "{in}/path.txt"],
+    "check-forward-only": ["check", "--graph", "{in}/forward-only.txt"],
+    "check-arc": ["check", "--graph", "{in}/arc.txt"],
     "run-nodes1": run("--graph", "{in}/nodes1.txt"),
     # one agent agrees with itself at step 0, so no round runs
     "run-nodes1-agents": run("--graph", "{in}/nodes1.txt", "--mode", "agents"),
