@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Digraph, is_strongly_connected
+from .graph import Digraph, _transpose, is_strongly_connected
 from .linalg import as_vector, gmres_null_vector, null_vector
 
 DEFAULT_EPSILON_FACTOR = 0.9
@@ -49,10 +49,10 @@ class WeightedSystem:
     (listener, source): views of the graph's own sorted columns, not copies.
     This fixed ascending order is the canonical summation order shared with
     the message-passing simulator, which is what keeps the two execution
-    paths bit-identical.  d and undirected are read
-    from these arrays.  The graph-only facts (strong connectivity,
-    undirectedness, the stationary vector v) do not depend on the step size,
-    so each is computed at most once per instance.
+    paths bit-identical.  d is read from these arrays.  The graph-only facts
+    (strong connectivity, undirectedness as G equal to its transpose, the
+    stationary vector v) do not depend on the step size, so each is computed
+    at most once per instance.
     Treat instances as immutable; the arrays are not defensively copied.
     """
 
@@ -85,12 +85,7 @@ class WeightedSystem:
 
     @cached_property
     def undirected(self) -> bool:
-        # the reversed edges, sorted as the edges are, equal them exactly
-        # when every edge has its reverse
-        order = np.lexsort((self.listeners, self.sources))
-        return np.array_equal(self.sources[order], self.listeners) and np.array_equal(
-            self.listeners[order], self.sources
-        )
+        return _transpose(self.graph) == self.graph
 
     @cached_property
     def _stationary(self) -> tuple[np.ndarray | None, str | None]:

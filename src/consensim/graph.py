@@ -51,8 +51,8 @@ class Digraph:
 
     ``edges`` may be any iterable of pairs.  The graph stores them once, as
     a column-major (m, 2) intp array sorted by (listener, source), so each
-    column is contiguous; build_system and is_strongly_connected take the
-    columns as views.  An (m, 2) integer array is checked in bulk, any other
+    column is contiguous; build_system and the graph search take the columns
+    as views.  An (m, 2) integer array is checked in bulk, any other
     iterable one pair at a time.  Either way the first faulty pair in input
     order raises, with its checks in the order above: a non-integer first,
     then a self-loop, an endpoint out of range, a repeat.  ``edges`` reads
@@ -296,14 +296,19 @@ def read_vector_file(path, n: int, label: str) -> np.ndarray:
     return vec
 
 
-def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
-    # a search from node 0 along the edges tail -> head, over CSR rows: heads
-    # comes grouped by tail, so u's heads are adjacent[start[u]:start[u + 1]]
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tails, minlength=n), out=start[1:])
-    adjacent = heads.tolist()
+def _transpose(g: Digraph) -> Digraph:
+    # every edge reversed, checked and sorted as every graph is
+    return Digraph(g.n, g._edge_array[:, ::-1])
+
+
+def _reaches_all(g: Digraph) -> bool:
+    # a search from node 0 along the edges listener -> source, over CSR rows: the
+    # edges come sorted by listener, so u's sources are adjacent[start[u]:start[u + 1]]
+    start = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(g._edge_array[:, 0], minlength=g.n), out=start[1:])
+    adjacent = g._edge_array[:, 1].tolist()
     start = start.tolist()
-    seen = bytearray(n)
+    seen = bytearray(g.n)
     seen[0] = 1
     stack = [0]
     count = 1
@@ -314,16 +319,14 @@ def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
                 seen[v] = 1
                 count += 1
                 stack.append(v)
-    return count == n
+    return count == g.n
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node reaches every other along directed edges.
 
-    Runs two graph searches from node 0, one along the edges and one along
-    the reversed edges; both reaching all nodes is equivalent to the graph
-    having a single strongly connected component.
+    Searches from node 0 along the edges, then, if that reaches every node,
+    along the transpose's: both reach every node iff the graph has a single
+    strongly connected component.
     """
-    listeners, sources = g._edge_array.T
-    reached = _reaches_all(g.n, listeners, sources)
-    return reached and _reaches_all(g.n, sources, listeners[np.argsort(sources, kind="stable")])
+    return _reaches_all(g) and _reaches_all(_transpose(g))
