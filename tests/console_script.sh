@@ -12,12 +12,22 @@ set -eo pipefail
 CONSENSIM=${CONSENSIM:-consensim}
 
 printf '0 1\n1 2\n2 0\n' > triangle.txt
-$CONSENSIM check --graph triangle.txt
+$CONSENSIM check --graph triangle.txt > check.out
+grep -qx "strongly_connected: true" check.out
+grep -qx "undirected: false" check.out
+# one arc: node 0 reaches no node, so the graph is not certified, exit 2
+printf '1 0\n' > arc.txt
+status=0
+$CONSENSIM check --graph arc.txt > check-arc.out || status=$?
+test "$status" -eq 2
+grep -qx "strongly_connected: false" check-arc.out
 # the agent paths: the lockstep comparison and an agent-mode run
 $CONSENSIM compare --graph triangle.txt > compare.out
 grep -qx "traces identical: true" compare.out
 # every agent of the undirected triangle has two neighbours
 printf '0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n' > undirected.txt
+$CONSENSIM check --graph undirected.txt > check-undirected.out
+grep -qx "undirected: true" check-undirected.out
 $CONSENSIM compare --graph undirected.txt > compare-undirected.out
 grep -qx "traces identical: true" compare-undirected.out
 # the path's out-degrees are 1, 2 and 1: the matrix step sums by np.bincount,

@@ -27,6 +27,14 @@ def unit_system(g):
     return build_system(g, np.ones(g.n))
 
 
+def built_three_ways(rng, n, edges):
+    """The graph on n nodes with these edges, from a frozenset, a shuffled (m, 2) array and text."""
+    pairs = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+    rng.shuffle(pairs)
+    text = f"nodes {n}\n" + "".join(f"{i} {j}\n" for i, j in pairs.tolist())
+    return [Digraph(n, frozenset(edges)), Digraph(n, pairs), parse_edge_list(text)]
+
+
 class TestDigraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -272,9 +280,23 @@ class TestStrongConnectivity:
 
     def test_matches_transitive_closure_oracle(self):
         rng = np.random.default_rng(1234)
-        for _ in range(400):
-            g = random_digraph(rng, n_hi=8, dens_lo=0.1, dens_hi=0.9, require_strong=False)
-            assert is_strongly_connected(g) == strongly_connected_oracle(g)
+        graphs = [
+            random_digraph(rng, n_hi=8, dens_lo=0.1, dens_hi=0.9, require_strong=False)
+            for _ in range(400)
+        ]
+        # wider and sparse: isolated nodes, long paths, a node that reaches or is reached by no other
+        graphs += [
+            random_digraph(rng, n_lo=1, n_hi=30, dens_lo=0.02, dens_hi=0.2, require_strong=False)
+            for _ in range(300)
+        ]
+        verdicts = set()
+        for g in graphs:
+            expected = strongly_connected_oracle(g)
+            verdicts.add(expected)
+            transpose = Digraph(g.n, frozenset((j, i) for i, j in g.edges))
+            for h in [*built_three_ways(rng, g.n, g.edges), transpose]:
+                assert is_strongly_connected(h) == expected
+        assert verdicts == {True, False}
 
 
 class TestIsUndirected:
@@ -286,6 +308,28 @@ class TestIsUndirected:
 
     def test_edgeless_graph_is_undirected(self):
         assert unit_system(Digraph(n=3, edges=frozenset())).undirected
+
+    def test_matches_the_reversed_edge_set_oracle(self):
+        rng = np.random.default_rng(5150)
+        cases = []
+        for _ in range(300):
+            g = random_digraph(rng, n_lo=1, require_strong=False)
+            cases.append((g.n, g.edges))
+        for _ in range(100):
+            g = random_digraph(rng, n_lo=1, n_hi=12, dens_lo=0.05, dens_hi=0.5, require_strong=False)
+            symmetric = g.edges | {(j, i) for i, j in g.edges}
+            cases.append((g.n, symmetric))
+            if symmetric:
+                # every edge but one has its reverse
+                dropped = sorted(symmetric)[rng.integers(len(symmetric))]
+                cases.append((g.n, symmetric - {dropped}))
+        verdicts = set()
+        for n, edges in cases:
+            expected = {(j, i) for i, j in edges} == edges
+            verdicts.add(expected)
+            for g in built_three_ways(rng, n, edges):
+                assert unit_system(g).undirected == expected
+        assert verdicts == {True, False}
 
     def test_random_symmetric_graphs_have_symmetric_laplacian(self):
         rng = np.random.default_rng(5)
