@@ -729,6 +729,81 @@ class TestCompare:
         assert rc == 2
 
 
+def count_agent_steps(monkeypatch) -> list:
+    """Patch cli.agent_stepper so that every step of the network it builds is counted."""
+    counted = []
+    real = cli.agent_stepper
+
+    def counting(*args):
+        step = real(*args)
+
+        def counted_step(x):
+            counted.append(1)
+            return step(x)
+
+        return counted_step
+
+    monkeypatch.setattr(cli, "agent_stepper", counting)
+    return counted
+
+
+class TestCompareContract:
+    """compare steps the agent network once per step the run takes, and no further."""
+
+    @pytest.mark.parametrize(
+        "graph, flags, stop",
+        [
+            (TRIANGLE, [], "converged"),
+            (TRIANGLE, ["--tol", "1e-300", "--max-steps", "5000"], "repeats step"),
+            (TRIANGLE, ["--epsilon", "5", "--allow-uncertified"], "diverged at step 346:"),
+            (SLOW_CYCLE, ["--max-steps", "255"], "within 255 steps"),
+            (SLOW_CYCLE, ["--max-steps", "256"], "within 256 steps"),
+            (SLOW_CYCLE, ["--max-steps", "257"], "within 257 steps"),
+        ],
+        ids=["converged", "cycled", "diverged", "budget-255", "budget-256", "budget-257"],
+    )
+    def test_the_agents_take_exactly_the_steps_the_run_takes(
+        self, graph, flags, stop, tmp_path, capsys, monkeypatch
+    ):
+        g = write(tmp_path, "g.txt", graph)
+        out = tmp_path / "o"
+        main(["run", "--graph", str(g), "--out", str(out)] + flags)
+        assert stop in capsys.readouterr().err or stop == "converged"
+        steps_run = json.loads((out / "summary.json").read_text())["steps_run"]
+        counted = count_agent_steps(monkeypatch)
+        assert main(["compare", "--graph", str(g)] + flags) == 0
+        printed = capsys.readouterr().out
+        assert "traces identical: true" in printed
+        assert f"converged: {'true' if stop == 'converged' else 'false'}" in printed
+        assert len(counted) == steps_run
+
+    @pytest.mark.parametrize(
+        "step, node", [(128, 1), (129, 7), (256, 23), (257, 0)],
+        ids=["last-of-block", "first-of-next", "last-of-256-block", "first-of-next-256"],
+    )
+    def test_a_fault_at_a_block_edge_is_named_at_its_step_and_node(
+        self, step, node, tmp_path, capsys, monkeypatch
+    ):
+        # the blocks end at steps 128 and 256, the cycle test's save steps
+        real = agents.local_update
+        updates = 0
+
+        def perturbed(agent, epsilon):
+            nonlocal updates
+            if agent.id == node:
+                updates += 1
+                if updates == step:
+                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
+            return real(agent, epsilon)
+
+        monkeypatch.setattr(agents, "local_update", perturbed)
+        g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
+        assert main(["compare", "--graph", str(g), "--max-steps", "600"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "traces identical: false\n"
+        assert f"first divergence: step {step}, node {node} " in captured.err
+
+
 class TestOneCertificationPerCommand:
     @pytest.mark.parametrize("command", ["check", "run", "compare"])
     def test_graph_facts_computed_once(self, command, tmp_path, triangle, monkeypatch, capsys):
