@@ -1,7 +1,7 @@
 """Command-line driver: check hypotheses, run consensus, compare execution modes.
 
-compare steps both modes in lockstep from the same state, checks every step
-bitwise, and reports the exact first divergent step and node.
+compare runs matrix mode in blocks, checks each step bitwise against one agent
+round fed the step before, and reports the exact first divergent step and node.
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation,
 3 no convergence (the step budget ran out, or the state diverged or
@@ -35,7 +35,6 @@ from .engine import (
     certify,
     default_epsilon,
     epsilon_bound,
-    matrix_stepper,
     predict,
     run,
 )
@@ -239,7 +238,7 @@ def _summary_dict(system: WeightedSystem, eps: float, trace: RunTrace, mode: str
 
 
 def _execute_run(
-    config: ExperimentConfig, system: WeightedSystem, x0: np.ndarray, eps: float, stepper
+    config: ExperimentConfig, system: WeightedSystem, x0: np.ndarray, eps: float, **hooks
 ) -> RunTrace:
     try:
         return run(
@@ -250,7 +249,7 @@ def _execute_run(
             max_steps=config.max_steps,
             snapshot_limit=config.snapshot_limit,
             override_uncertified=config.allow_uncertified,
-            stepper=stepper,
+            **hooks,
         )
     except HypothesisViolation as exc:
         raise HypothesisViolation(f"{exc}; pass --allow-uncertified to run anyway") from None
@@ -258,7 +257,7 @@ def _execute_run(
 
 def cmd_run(config, system, x0, eps) -> int:
     stepper = agent_stepper(system, x0, eps) if config.mode == "agents" else None
-    trace = _execute_run(config, system, x0, eps, stepper)
+    trace = _execute_run(config, system, x0, eps, stepper=stepper)
 
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -302,25 +301,25 @@ class _Divergence(Exception):
 
 
 def cmd_compare(config, system, x0, eps) -> int:
-    step_matrix = matrix_stepper(system, eps)
     step_agents = agent_stepper(system, x0, eps)
-    steps = 0
+    prev = None
 
-    def lockstep(x: np.ndarray) -> np.ndarray:
-        nonlocal steps
-        steps += 1
-        xm = step_matrix(x)
-        xa = step_agents(x)
-        if xm.tobytes() != xa.tobytes():
-            node = int(np.flatnonzero(xm.view(np.uint64) != xa.view(np.uint64))[0])
-            raise _Divergence(
-                f"first divergence: step {steps}, node {node} "
-                f"(matrix {_fmt(xm[node])}, agents {_fmt(xa[node])})"
-            )
-        return xm
+    def check_block(first: int, rows: np.ndarray) -> None:
+        # each row against an agent round fed the row before; run reuses rows
+        nonlocal prev
+        for steps, xm in enumerate(rows, first):
+            xa = step_agents(prev) if steps else xm
+            if xm.tobytes() != xa.tobytes():
+                node = int(np.flatnonzero(xm.view(np.uint64) != xa.view(np.uint64))[0])
+                raise _Divergence(
+                    f"first divergence: step {steps}, node {node} "
+                    f"(matrix {_fmt(xm[node])}, agents {_fmt(xa[node])})"
+                )
+            prev = xm
+        prev = prev.copy()
 
     try:
-        trace = _execute_run(config, system, x0, eps, lockstep)
+        trace = _execute_run(config, system, x0, eps, on_block=check_block)
     except _Divergence as exc:
         print("traces identical: false")
         print(exc, file=sys.stderr)

@@ -219,8 +219,9 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[..., np.n
     Evaluates x_i + (eps / w_i) * sum_j (x_j - x_i) over edges in ascending
     (listener, source) order and returns it, written into out when given (out
     may be x itself).  Raises ValueError when epsilon is not positive and
-    finite.  Each node's sum runs left to right over its sources, as the
-    simulator's per-agent loop does, by one of two folds:
+    finite.  A step is the block loop that run steps its blocks with, over
+    the single row out.  Each node's sum runs left to right over its
+    sources, as the simulator's per-agent loop does, by one of two folds:
 
     - when every node listens to the same number d >= 1 of sources, a
       column fold: the sources reshaped to d contiguous columns, column k
@@ -238,29 +239,39 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[..., np.n
     is +0.0 either way: the two folds, and the agents, step bit for bit
     alike.
     """
-    ratios = _step_size(epsilon) / system.w
+    advance = _advance(system, _step_size(epsilon))
+    return lambda x, out=None: advance(x, (out,))
+
+
+def _advance(system: WeightedSystem, eps: float) -> Callable[..., np.ndarray]:
+    # advance(x, rows) steps x into each row in turn and returns the last state
+    ratios = eps / system.w
     listeners, sources, d, n = system.listeners, system.sources, system.d, system.n
 
     if d[0] > 0 and (d == d[0]).all():
         first, *rest = np.ascontiguousarray(sources.reshape(n, int(d[0])).T)
 
-        def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            sums = x[first] - x
-            for column in rest:
-                t = x[column]
-                t -= x
-                sums += t
-            sums *= ratios
-            return np.add(x, sums, out)
+        def advance(x: np.ndarray, rows) -> np.ndarray:
+            for out in rows:
+                sums = x[first] - x
+                for column in rest:
+                    t = x[column]
+                    t -= x
+                    sums += t
+                sums *= ratios
+                x = np.add(x, sums, out)
+            return x
 
     else:
 
-        def step(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            sums = np.bincount(listeners, weights=x[sources] - x[listeners], minlength=n)
-            # out of place: without edges np.bincount returns int64 zeros
-            return np.add(x, ratios * sums, out)
+        def advance(x: np.ndarray, rows) -> np.ndarray:
+            for out in rows:
+                sums = np.bincount(listeners, weights=x[sources] - x[listeners], minlength=n)
+                # out of place: without edges np.bincount returns int64 zeros
+                x = np.add(x, ratios * sums, out)
+            return x
 
-    return step
+    return advance
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +342,7 @@ def run(
     snapshot_limit: int = DEFAULT_SNAPSHOT_LIMIT,
     override_uncertified: bool = False,
     stepper: Callable[[np.ndarray], np.ndarray] | None = None,
+    on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> RunTrace:
     """Iterate the consensus update until the disagreement max(x) - min(x)
     falls below tol, the state diverges (an entry stops being finite), the
@@ -360,9 +372,12 @@ def run(
     each state it returns is checked against the stopping rule, and saved
     if it falls on a save step (the end of its block), before the next
     call.  A returned state whose shape is not (n,) raises ValueError.  The
-    built-in stepper writes each step straight into its row of the block,
-    step(x, out=row), and is pure, so the steps its blocks take past the
-    stopping step are discarded.
+    built-in update steps a whole block in one call of matrix_stepper's
+    block loop, each step straight into its row, and is pure, so the steps
+    its blocks take past the stopping step are discarded.  on_block(k, rows),
+    when given, is called with each block's first step k and its rows up to
+    the stopping step, before any is recorded; the rows are views of a
+    buffer the next block reuses.  compare checks the agents this way.
     """
     max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
     x = as_vector(x0, system.n).copy()
@@ -384,34 +399,27 @@ def run(
         state = blk[r].copy() if keep_states else None
         return step, float(dis[r]), cons, float(lo[r]), float(hi[r]), state
 
-    def may_stop(state: np.ndarray) -> bool:
-        # the reader may stop at this state: its disagreement is below tol or
-        # not finite, or it repeats the saved state
-        return (
-            not tol <= np.maximum.reduce(state) - np.minimum.reduce(state) < math.inf
-            or state.tobytes() == saved
-        )
-
     buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // system.n)), system.n))
     buf[0] = x
-    step = matrix_stepper(system, eps) if stepper is None else stepper
+    advance, views = _advance(system, eps) if stepper is None else None, list(buf)
 
     def fill(size: int) -> int:
         # steps the next block into buf[:size] and returns its rows; a caller's stepper
         # may keep state, so it stops at the first row the reader may stop at
         nonlocal x
         if stepper is None:
-            for state in buf[:size]:
-                x = step(x, state)
+            x = advance(x, views[:size])
             return size
         for i in range(size):
-            x = step(x)
+            x = stepper(x)
             # np.shape, not x.shape: a stepper may return a list or a scalar
             if np.shape(x) != (system.n,):
                 raise ValueError(f"stepper returned shape {np.shape(x)}, expected {(system.n,)}")
-            state = buf[i]
+            state = views[i]
             state[...] = x
-            if may_stop(state):
+            # the reader may stop at a disagreement below tol or not finite, or a repeat
+            spread = np.maximum.reduce(state) - np.minimum.reduce(state)
+            if not tol <= spread < math.inf or state.tobytes() == saved:
                 return i + 1
         return size
 
@@ -453,6 +461,8 @@ def run(
             if same.size:
                 last = int(same[0])
                 period = k + last - saved_at
+            if on_block is not None:
+                on_block(k, blk[: last + 1])
             floor = min(floor, float(dis[: last + 1].min()))
             if k + last == save_at and period is None:
                 saved, saved_dis, saved_at = blk[last].tobytes(), dis[last], save_at

@@ -804,6 +804,46 @@ class TestCompareContract:
         assert f"first divergence: step {step}, node {node} " in captured.err
 
 
+class TestBlockLoop:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_one_block_loop_call_per_block_and_no_single_steps(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # the 85-cycle's 2000-step budget: blocks up to each save step 1, 2,
+        # 4, ..., 256, then 256 rows each, the last one cut by the budget
+        sizes, steps = [], []
+        real_advance, real_stepper = engine._advance, engine.matrix_stepper
+
+        def spied_advance(*args):
+            advance = real_advance(*args)
+
+            def counted(x, rows):
+                sizes.append(len(rows))
+                return advance(x, rows)
+
+            return counted
+
+        def spied_stepper(*args):
+            step = real_stepper(*args)
+
+            def counted(*xs):
+                steps.append(1)
+                return step(*xs)
+
+            return counted
+
+        monkeypatch.setattr(engine, "_advance", spied_advance)
+        monkeypatch.setattr(engine, "matrix_stepper", spied_stepper)
+        monkeypatch.setattr(cli, "matrix_stepper", spied_stepper, raising=False)
+        counted = count_agent_steps(monkeypatch)
+        g = write(tmp_path, "cycle.txt", "".join(f"{i} {(i + 1) % 85}\n" for i in range(85)))
+        argv = [command, "--graph", str(g), "--max-steps", "2000", "--out", str(tmp_path / "o")]
+        assert main(argv) == (3 if command == "run" else 0)
+        assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 128] + [256] * 6 + [208]
+        assert steps == []
+        assert len(counted) == (2000 if command == "compare" else 0)
+
+
 class TestOneCertificationPerCommand:
     @pytest.mark.parametrize("command", ["check", "run", "compare"])
     def test_graph_facts_computed_once(self, command, tmp_path, triangle, monkeypatch, capsys):

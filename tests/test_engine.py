@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import consensim.engine as engine
-from consensim.agents import agent_stepper
+from consensim.agents import agent_stepper, build_agents, run_rounds
 from consensim.cli import default_initial_state
 from consensim.engine import (
     HypothesisViolation,
@@ -472,6 +472,21 @@ class TestPredict:
         rho = predict(system, np.zeros(n)).rho_estimate
         assert abs(rho - 1.0) <= 4 * np.finfo(np.float64).eps
 
+    @pytest.mark.parametrize("family", ["theorem", "undirected", "unweighted"])
+    def test_rho_is_one_agent_round_at_v_on_the_acceptance_families(self, family):
+        # the agents' round is the matrix step bit for bit, and a second
+        # implementation of it, so rho keeps its bits whatever loop steps it
+        rng = np.random.default_rng({"theorem": 10_001, "undirected": 10_002}.get(family, 10_003))
+        for _ in range(50):
+            g = random_undirected_digraph(rng) if family == "undirected" else random_digraph(rng)
+            w = np.ones(g.n) if family == "unweighted" else random_weights(rng, g.n)
+            system = build_system(g, w)
+            v = system.v
+            stepped = run_rounds(build_agents(system, v), default_epsilon(system), 1)[-1].states
+            want = float(v @ np.array(stepped)) / float(v @ v)
+            assert predict(system, v).rho_estimate == want
+            rng.uniform(-10.0, 10.0, g.n)  # the suite's x0: the same graphs follow
+
     def test_makes_one_stepper_product(self, monkeypatch):
         calls = []
         matrix_stepper = engine.matrix_stepper
@@ -737,7 +752,7 @@ class TestRun:
         def no_work(*args):
             raise AssertionError("run did work before checking its budgets")
 
-        monkeypatch.setattr(engine, "matrix_stepper", no_work)
+        monkeypatch.setattr(engine, "_advance", no_work)
         system = build_system(THREE_CYCLE, np.ones(3))
         with pytest.raises(TypeError, match="integer"):
             run(system, [1.0, 2.0, 3.0], **budget)
@@ -761,17 +776,18 @@ class TestBlockedLoop:
         x0 = np.full(3, 7.5)
         calls = []
         inner = (
-            agent_stepper(system, x0, 0.5) if mode == "agents" else matrix_stepper(system, 0.5)
+            agent_stepper(system, x0, 0.5) if mode == "agents" else engine._advance(system, 0.5)
         )
 
-        def spy(x):
+        def spy(x, *rows):
             calls.append(1)
-            return inner(x)
+            return inner(x, *rows)
 
         if mode == "agents":
             trace = run(system, x0, 0.5, stepper=spy)
         else:
-            monkeypatch.setattr(engine, "matrix_stepper", lambda *args: spy)
+            # the built-in update steps a block per call of its block loop
+            monkeypatch.setattr(engine, "_advance", lambda *args: spy)
             trace = run(system, x0, 0.5)
         assert (trace.converged_at, trace.steps_run, trace.steps) == (0, 0, [0])
         assert calls == []

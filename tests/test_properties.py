@@ -30,6 +30,7 @@ from consensim.agents import (  # noqa: E402
 )
 from consensim.engine import (  # noqa: E402
     HypothesisViolation,
+    _advance,
     build_system,
     certify,
     default_epsilon,
@@ -136,6 +137,44 @@ def test_agent_rounds_match_the_matrix_stepper_at_any_out_degree(seed, data):
         assert np.array(report.states, dtype=np.float64).tobytes() == x.tobytes(), report.round
         assert report.messages_sent == (len(system.sources) if report.round else 0)
         x = step(x)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_block_of_steps_is_as_many_single_steps_and_agent_rounds(seed, data):
+    # the block loop over k rows, the first of them x itself as in run's
+    # buffer, and over one row k times in place, against k single steps
+    # and k agent rounds: the column fold (rings with chords), np.bincount
+    # (digraphs) and graphs without edges, with signed zeros in x0
+    rng = np.random.default_rng(seed)
+    family = data.draw(st.sampled_from(["column-fold", "bincount", "edgeless"]))
+    n = int(rng.integers(3, 13))
+    if family == "column-fold":
+        g = ring_with_chords(rng, n, int(rng.integers(0, min(3, n - 2) + 1)))
+    elif family == "bincount":
+        g = random_digraph(rng, n_lo=1, n_hi=12, dens_lo=0.1, dens_hi=0.6, require_strong=False)
+    else:
+        g = Digraph(n, frozenset())
+    system = build_system(g, random_weights(rng, g.n))
+    eps = default_epsilon(system)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    x0 = np.array(data.draw(st.lists(values, min_size=g.n, max_size=g.n)), dtype=np.float64)
+    k = data.draw(st.integers(1, 12))
+    advance = _advance(system, eps)
+    buf = np.full((k, g.n), np.nan)
+    buf[0] = x0
+    rows = list(buf)
+    assert advance(rows[0], rows) is rows[-1]
+    in_place = x0.copy()
+    assert advance(in_place, [in_place] * k) is in_place
+    step = matrix_stepper(system, eps)
+    reports = run_rounds(build_agents(system, x0), eps, k)
+    x = x0
+    for r in range(k):
+        x = step(x)
+        assert buf[r].tobytes() == x.tobytes(), r
+        assert np.array(reports[r + 1].states).tobytes() == x.tobytes(), r
+    assert in_place.tobytes() == x.tobytes()
 
 
 @PROPERTY_SETTINGS
