@@ -85,7 +85,8 @@ class WeightedSystem:
 
     @cached_property
     def undirected(self) -> bool:
-        return _transpose(self.graph) == self.graph
+        balanced = (np.bincount(self.sources, minlength=self.n) == self.d).all()
+        return bool(balanced) and _transpose(self.graph) == self.graph
 
     @cached_property
     def _stationary(self) -> tuple[np.ndarray | None, str | None]:

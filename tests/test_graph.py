@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import consensim.engine as engine
 import consensim.graph as graph
 from consensim.engine import build_system
 from consensim.graph import (
@@ -330,6 +331,28 @@ class TestIsUndirected:
             for g in built_three_ways(rng, n, edges):
                 assert unit_system(g).undirected == expected
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "text, transposes, verdict",
+        [("0 1\n1 0\n", 1, True), ("0 1\n1 2\n2 0\n", 1, False),
+         ("0 1\n1 0\n1 2\n", 0, False), ("0 1\n1 2\n2 0\n0 2\n", 0, False)],
+        ids=["symmetric-pair", "balanced-cycle", "unbalanced-path", "unbalanced-chord"],
+    )
+    def test_only_a_balanced_graph_builds_its_transpose(
+        self, text, transposes, verdict, monkeypatch
+    ):
+        # an undirected graph is balanced, each in-degree equal to its
+        # out-degree, so an unbalanced one is decided without its transpose
+        calls = []
+        real = engine._transpose
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(engine, "_transpose", counted)
+        assert unit_system(parse_edge_list(text)).undirected is verdict
+        assert len(calls) == transposes
 
     def test_random_symmetric_graphs_have_symmetric_laplacian(self):
         rng = np.random.default_rng(5)
