@@ -56,3 +56,12 @@ grep -q "^state at step [0-9]* repeats step [0-9]* exactly (period [0-9]*)" stal
 $CONSENSIM compare --graph triangle.txt --tol 1e-300 --max-steps 5000 > compare-stalled.out
 grep -qx "converged: false" compare-stalled.out
 grep -qx "traces identical: true" compare-stalled.out
+# compare checks the agents once per matrix block: a 257-step budget on the
+# slow 85-cycle ends one step past the 256-row block edge
+for i in $(seq 0 84); do echo "$i $(( (i + 1) % 85 ))"; done > cycle85.txt
+$CONSENSIM compare --graph cycle85.txt --max-steps 257 > compare-cycle85.out
+grep -qx "traces identical: true" compare-cycle85.out
+# a diverged run: the overflowing and non-finite rows are compared bitwise too
+$CONSENSIM compare --graph triangle.txt --epsilon 5 --allow-uncertified > compare-diverged.out
+grep -qx "converged: false" compare-diverged.out
+grep -qx "traces identical: true" compare-diverged.out
