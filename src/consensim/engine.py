@@ -220,9 +220,9 @@ def matrix_stepper(system: WeightedSystem, epsilon: float) -> Callable[..., np.n
     Evaluates x_i + (eps / w_i) * sum_j (x_j - x_i) over edges in ascending
     (listener, source) order and returns it, written into out when given (out
     may be x itself).  Raises ValueError when epsilon is not positive and
-    finite.  A step is the block loop that run steps its blocks with, over
-    the single row out.  Each node's sum runs left to right over its
-    sources, as the simulator's per-agent loop does, by one of two folds:
+    finite.  Each call runs run's block loop over the single row out.
+    Each node's sum runs left to right over its sources, as the
+    simulator's per-agent loop does, by one of two folds:
 
     - when every node listens to the same number d >= 1 of sources, a
       column fold: the sources reshaped to d contiguous columns, column k
