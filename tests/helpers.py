@@ -15,7 +15,9 @@ The dense iteration matrix P, built entrywise from the same ratios eps / w_i
 that matrix_stepper applies, lives here too; no library path builds it.
 The CLI's default initial state is checked against its original per-node
 splitmix64 loop in Python integers.  The edge-list and vector-file readers
-are checked against their original line loops, kept here as they were.
+are checked against their original line loops, kept here as they were.  The
+agent network's oracle is its original round over the Agent records:
+publish, deliver into each inbox, local_update per agent, then commit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from consensim.agents import Agent, _gatherer, local_update
 from consensim.engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
@@ -437,6 +440,24 @@ def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
     assert trace.steps_run == ref.steps_run
     assert trace.cycle_period == ref.cycle_period
     assert trace.cycle_floor == ref.cycle_floor
+
+
+def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
+    """One synchronous round over the records; returns the committed states.
+
+    Every committed state is published into one list, each inbox is filled
+    from it by the agent's gather, every update is computed by local_update
+    from the inboxes alone, and only then are the updates committed and the
+    inboxes emptied.
+    """
+    published = [a.state for a in agents]
+    for a in agents:
+        a.inbox = _gatherer(a.neighbors)(published)
+    staged = [local_update(a, epsilon) for a in agents]
+    for a, value in zip(agents, staged):
+        a.state = value
+        a.inbox = ()
+    return staged
 
 
 class _ReferenceSampler:

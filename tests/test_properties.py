@@ -41,6 +41,7 @@ from consensim.engine import (  # noqa: E402
 from consensim.graph import Digraph  # noqa: E402
 
 from helpers import (  # noqa: E402
+    agent_round_oracle,
     assert_same_run,
     random_digraph,
     random_weights,
@@ -217,6 +218,49 @@ def test_every_agent_driver_matches_the_matrix_stepper(seed, data):
         assert reports[r].messages_sent == m
         assert np.array([a.state for a in by_call]).tobytes() == want, r
     assert all(a.inbox == () for agents in networks for a in agents)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_agent_drivers_match_the_round_oracle(seed, data):
+    # run_rounds' reports and committed records, and agent_stepper's
+    # outputs, against the publish-deliver-compute-commit round over 40
+    # rounds: rings with chords (the matrix step's column fold), digraphs
+    # (its np.bincount), either with an extra node that has no sources, a
+    # hand-built agent that names one neighbour twice, signed zeros in x0
+    rng = np.random.default_rng(seed)
+    if data.draw(st.sampled_from(["column-fold", "bincount"])) == "column-fold":
+        n = int(rng.integers(3, 11))
+        g = ring_with_chords(rng, n, int(rng.integers(0, min(3, n - 2) + 1)))
+    else:
+        g = random_digraph(rng, n_lo=2, n_hi=10, dens_lo=0.0, dens_hi=0.6, require_strong=False)
+    if data.draw(st.booleans()):
+        g = Digraph(g.n + 1, g.edges)
+    n = g.n
+    system = build_system(g, random_weights(rng, n))
+    eps = default_epsilon(system)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    x0 = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    repeated = data.draw(st.integers(0, n - 1))
+    extra = data.draw(values)
+    networks = []
+    for _ in range(2):
+        agents = build_agents(system, x0)
+        agents.append(Agent(id=n, weight=1.5, state=extra, neighbors=(repeated, repeated)))
+        networks.append(agents)
+    driven, oracle = networks
+    reports = run_rounds(driven, eps, 40)
+    stepper = agent_stepper(system, x0, eps)
+    x = x0
+    assert np.array(reports[0].states).tobytes() == np.append(x0, extra).tobytes()
+    for r in range(1, 41):
+        want = np.array(agent_round_oracle(oracle, eps)).tobytes()
+        assert np.array(reports[r].states).tobytes() == want, r
+        x = stepper(x)
+        # the hand-built agent is a listener only: no other agent reads it
+        assert np.append(x, reports[r].states[-1]).tobytes() == want, r
+    assert np.array([a.state for a in driven]).tobytes() == want
+    assert [a.inbox for a in driven] == [()] * (n + 1)
 
 
 # budgets at and next to the run loop's block edges, plus anything up to 600
