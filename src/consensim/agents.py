@@ -1,23 +1,22 @@
 """Synchronous message-passing simulation of the per-node consensus update.
 
-Each agent owns its scalar state and updates it from received messages only;
-no agent reads another agent's fields.  A round publishes, then delivers:
-every committed state goes into one list, and each agent's inbox receives
-one message from that list per neighbor, message k from ``neighbors[k]``:
-a tuple of the published floats, filled in C, not by a Python loop, by a
-gather built once per network (a lone step_round call builds its own).
-Every agent then computes its update from its inbox alone, and all updates
-are committed together, so all read the same committed snapshot.  An
-agent's neighbors are its run of the system's edges in (listener, source)
-order, so per-agent sums run in ascending id order exactly as the matrix
-engine's do; the two paths produce bit-identical trajectories.
+Each agent is an actor: a coroutine that owns its scalar state and answers
+each inbox it is sent, message k from ``neighbors[k]``, with its next state;
+no agent reads another agent's fields.  A round publishes every committed
+state in one list, gathers each inbox from it in C, by a gather built once
+per network, and hands it straight to the agent's coroutine.  The new list
+is complete before it replaces the old one, so all agents read the same
+snapshot.  ``Agent.inbox`` feeds only local_update, a one-shot actor, and
+stays () after a round.  An agent's neighbors are its run of the system's
+edges in (listener, source) order, so per-agent sums run in ascending id
+order as the matrix engine's do: the trajectories are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -40,6 +39,26 @@ class Agent:
     inbox: tuple[float, ...] = ()
 
 
+def _actor(agent: Agent, epsilon: float) -> Generator[float, tuple[float, ...], None]:
+    # primed by next(); each inbox sent in yields the next state, kept as its own
+    state, neighbors, rate = agent.state, agent.neighbors, epsilon / agent.weight
+    expected = len(neighbors)
+    inbox = yield
+    while True:
+        if len(inbox) != expected:
+            got = len(inbox)
+            raise MessageProtocolError(
+                f"agent {agent.id} has no message from neighbor {neighbors[got]} this round"
+                if got < expected
+                else f"agent {agent.id} received {got} messages, expected {expected}"
+            )
+        total = 0.0
+        for xj in inbox:
+            total += xj - state
+        state = state + rate * total
+        inbox = yield state
+
+
 def local_update(agent: Agent, epsilon: float) -> float:
     """Next state for one agent from its own fields and inbox alone.
 
@@ -48,18 +67,9 @@ def local_update(agent: Agent, epsilon: float) -> float:
     value; the agent's state is not modified here.  A missing or surplus
     message is a protocol violation, never treated as a zero.
     """
-    state, inbox = agent.state, agent.inbox
-    if len(inbox) != len(agent.neighbors):
-        got, expected = len(inbox), len(agent.neighbors)
-        if got < expected:
-            raise MessageProtocolError(
-                f"agent {agent.id} has no message from neighbor {agent.neighbors[got]} this round"
-            )
-        raise MessageProtocolError(f"agent {agent.id} received {got} messages, expected {expected}")
-    total = 0.0
-    for xj in inbox:
-        total += xj - state
-    return state + (epsilon / agent.weight) * total
+    actor = _actor(agent, epsilon)
+    next(actor)
+    return actor.send(agent.inbox)
 
 
 @dataclass(frozen=True)
@@ -97,28 +107,31 @@ def _gatherer(neighbors: tuple[int, ...]) -> Callable[[list[float]], tuple[float
     return lambda published: ()
 
 
-def _round(agents: list[Agent], gathers: list, epsilon: float) -> list[float]:
-    # publish, deliver by each agent's gather, compute, commit; returns the commits
-    published = [a.state for a in agents]
-    for a, gather in zip(agents, gathers):
-        a.inbox = gather(published)
-    staged = [local_update(a, epsilon) for a in agents]
-    for a, value in zip(agents, staged):
-        a.state = value
-        a.inbox = ()
-    return staged
+def _network(agents: list[Agent], epsilon: float) -> Callable[[list[float]], list[float]]:
+    # one primed actor and one gather per agent; round_ answers a snapshot with the next one
+    pairs = []
+    for a in agents:
+        actor = _actor(a, epsilon)
+        next(actor)
+        pairs.append((actor.send, _gatherer(a.neighbors)))
+
+    def round_(published: list[float]) -> list[float]:
+        return [send(gather(published)) for send, gather in pairs]
+
+    return round_
 
 
 def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
-    Phase one publishes every committed state and delivers each agent one
+    Phase one publishes every committed state and gathers each agent one
     message per neighbor, in neighbor order: its inbox is the tuple of the
     published floats, gathered by one itemgetter call when it has two or
-    more neighbors.  Phase two computes every update from the inboxes
-    alone, then commits them all and empties the inboxes.  It is one round
-    of run_rounds, so each call builds its own gathers and raises ValueError
-    when epsilon is not positive and finite.
+    more neighbors.  Phase two hands each inbox straight to the agent's
+    coroutine, which answers with its update; once all have answered, the
+    updates are committed into the records, whose inboxes stay ().  It is
+    one round of run_rounds, so each call builds its own network and raises
+    ValueError when epsilon is not positive and finite.
     """
     return run_rounds(agents, epsilon, 1)[-1].messages_sent
 
@@ -128,18 +141,21 @@ def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundRe
 
     The report list starts with round 0 (the initial states, no messages);
     rounds == 0 therefore yields exactly that single report.  The rounds are
-    step_round's, with the gathers built once for the whole call.  Raises
+    step_round's, with the network built once for the whole call.  Raises
     ValueError when epsilon is not positive and finite.
     """
     epsilon = _step_size(epsilon)
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    reports = [RoundReport(round=0, states=tuple(a.state for a in agents), messages_sent=0)]
-    gathers = [_gatherer(a.neighbors) for a in agents]
+    published = [a.state for a in agents]
+    reports = [RoundReport(round=0, states=tuple(published), messages_sent=0)]
+    round_ = _network(agents, epsilon)
     sent = sum(len(a.neighbors) for a in agents)
     for r in range(1, rounds + 1):
-        states = tuple(_round(agents, gathers, epsilon))
-        reports.append(RoundReport(round=r, states=states, messages_sent=sent))
+        published = round_(published)
+        for a, value in zip(agents, published):
+            a.state, a.inbox = value, ()
+        reports.append(RoundReport(round=r, states=tuple(published), messages_sent=sent))
     return reports
 
 
@@ -148,23 +164,24 @@ def agent_stepper(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Stepper backed by the agent network, for engine.run(..., stepper=...).
 
-    The agents own the state: the returned callable runs one more round, as
-    step_round does but with gathers built once for the network, and returns
-    the committed snapshot.  Its argument must be bitwise equal to the
-    agents' committed states (the initial states before the first round),
-    which is what the run loop feeds back; any other state raises
-    MessageProtocolError naming the first differing node instead of
-    silently desynchronizing the two views.  Raises ValueError when epsilon
-    is not positive and finite.
+    The agents own the state: the returned callable runs one more round of
+    the network it builds once, each inbox handed straight to its agent's
+    coroutine as in step_round, and returns the committed snapshot.  Its
+    argument must be bitwise equal to the agents' committed states (the
+    initial states before the first round), which is what the run loop
+    feeds back; any other state raises MessageProtocolError naming the
+    first differing node instead of silently desynchronizing the two
+    views.  Raises ValueError when epsilon is not positive and finite.
     """
     epsilon = _step_size(epsilon)
     agents = build_agents(system, x0)
-    gathers = [_gatherer(a.neighbors) for a in agents]
+    round_ = _network(agents, epsilon)
+    published = [a.state for a in agents]
     # kept as bytes so a caller mutating a returned array cannot alter it
-    committed = np.array([a.state for a in agents], dtype=np.float64).tobytes()
+    committed = np.array(published, dtype=np.float64).tobytes()
 
     def step(x: np.ndarray) -> np.ndarray:
-        nonlocal committed
+        nonlocal committed, published
         fed = np.asarray(x, dtype=np.float64)
         if fed.tobytes() != committed:
             ours = np.frombuffer(committed, dtype=np.uint64)
@@ -176,7 +193,8 @@ def agent_stepper(
                 f"stepper fed a state that differs from the agents' committed states "
                 f"at node {node}"
             )
-        snapshot = np.array(_round(agents, gathers, epsilon), dtype=np.float64)
+        published = round_(published)
+        snapshot = np.array(published, dtype=np.float64)
         committed = snapshot.tobytes()
         return snapshot
 

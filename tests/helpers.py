@@ -27,6 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+import consensim.agents
 from consensim.agents import Agent, _gatherer, local_update
 from consensim.engine import (
     DEFAULT_MAX_STEPS,
@@ -458,6 +459,24 @@ def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
         a.state = value
         a.inbox = ()
     return staged
+
+
+def tap_inboxes(monkeypatch, tap: Callable[[Agent, tuple], tuple]) -> None:
+    """Patch agents._actor so that each inbox an actor is sent passes through tap first.
+
+    tap(agent, inbox) returns the inbox the real actor then reads, so a test
+    can record it or corrupt it.
+    """
+    real = consensim.agents._actor
+
+    def tapped(agent, epsilon):
+        actor = real(agent, epsilon)
+        next(actor)
+        inbox = yield
+        while True:
+            inbox = yield actor.send(tap(agent, inbox))
+
+    monkeypatch.setattr(consensim.agents, "_actor", tapped)
 
 
 class _ReferenceSampler:

@@ -14,7 +14,7 @@ from consensim.agents import (
 from consensim.engine import build_system, default_epsilon, matrix_stepper
 from consensim.graph import parse_edge_list
 
-from helpers import random_system, random_weights
+from helpers import random_system, random_weights, tap_inboxes
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
 
@@ -147,13 +147,12 @@ class TestRounds:
         agents.append(Agent(id=4, weight=1.0, state=5.0, neighbors=(1, 1)))
         published = [a.state for a in agents]
         inboxes = {}
-        real = consensim.agents.local_update
 
-        def spy(agent, epsilon):
-            inboxes[agent.id] = agent.inbox
-            return real(agent, epsilon)
+        def spy(agent, inbox):
+            inboxes[agent.id] = inbox
+            return inbox
 
-        monkeypatch.setattr(consensim.agents, "local_update", spy)
+        tap_inboxes(monkeypatch, spy)
         assert step_round(agents, 0.1) == 6
         assert [len(inboxes[a.id]) for a in agents] == [3, 1, 0, 0, 2]
         for a in agents:

@@ -10,14 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import consensim.agents as agents
 import consensim.cli as cli
 import consensim.engine as engine
 from consensim.cli import ExperimentConfig, default_initial_state, main
 from consensim.engine import build_system, predict
 from consensim.graph import parse_edge_list
 
-from helpers import back_edge_cycle, default_initial_state_oracle, ring_with_chords
+from helpers import back_edge_cycle, default_initial_state_oracle, ring_with_chords, tap_inboxes
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
 # a directed 24-cycle: the default run needs about 7000 steps
@@ -644,6 +643,21 @@ class TestParser:
         ]
 
 
+def perturb_inbox(monkeypatch, node: int, update: int) -> None:
+    """Raise every message in agent node's update-th inbox by 1e-9 before the agent reads it."""
+    updates = 0
+
+    def perturbed(agent, inbox):
+        nonlocal updates
+        if agent.id == node:
+            updates += 1
+            if updates == update:
+                return tuple(x + 1e-9 for x in inbox)
+        return inbox
+
+    tap_inboxes(monkeypatch, perturbed)
+
+
 class TestCompare:
     def test_matching_modes_exit_0(self, tmp_path, triangle, capsys):
         rc = main(["compare", "--graph", str(triangle), "--seed", "3", "--out", str(tmp_path)])
@@ -667,19 +681,7 @@ class TestCompare:
     ):
         # with 3 snapshots step 5 is never recorded; the divergence is still
         # reported where it happens, not at the next recorded row
-        real = agents.local_update
-        updates = 0
-
-        def perturbed(agent, epsilon):
-            # corrupts node 1's inbox on that agent's 5th update
-            nonlocal updates
-            if agent.id == 1:
-                updates += 1
-                if updates == 5:
-                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
-            return real(agent, epsilon)
-
-        monkeypatch.setattr(agents, "local_update", perturbed)
+        perturb_inbox(monkeypatch, node=1, update=5)
         rc = main(["compare", "--graph", str(triangle), "--out", str(tmp_path)] + extra)
         captured = capsys.readouterr()
         assert rc == 4
@@ -692,18 +694,7 @@ class TestCompare:
     ):
         # step 300 lies in the first 256-row block; agent mode still stops
         # on the same step as matrix mode, so every row is compared
-        real = agents.local_update
-        updates = 0
-
-        def perturbed(agent, epsilon):
-            nonlocal updates
-            if agent.id == 1:
-                updates += 1
-                if updates == 300:
-                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
-            return real(agent, epsilon)
-
-        monkeypatch.setattr(agents, "local_update", perturbed)
+        perturb_inbox(monkeypatch, node=1, update=300)
         g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
         rc = main(["compare", "--graph", str(g), "--max-steps", "600", "--out", str(tmp_path)])
         captured = capsys.readouterr()
@@ -785,18 +776,7 @@ class TestCompareContract:
         self, step, node, tmp_path, capsys, monkeypatch
     ):
         # the blocks end at steps 128 and 256, the cycle test's save steps
-        real = agents.local_update
-        updates = 0
-
-        def perturbed(agent, epsilon):
-            nonlocal updates
-            if agent.id == node:
-                updates += 1
-                if updates == step:
-                    agent.inbox = tuple(x + 1e-9 for x in agent.inbox)
-            return real(agent, epsilon)
-
-        monkeypatch.setattr(agents, "local_update", perturbed)
+        perturb_inbox(monkeypatch, node=node, update=step)
         g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
         assert main(["compare", "--graph", str(g), "--max-steps", "600"]) == 4
         captured = capsys.readouterr()
