@@ -198,13 +198,14 @@ def cmd_check(config, system, x0, eps) -> int:
 
 def _write_trace_csv(path: Path, trace: RunTrace, n: int) -> None:
     if n <= _MAX_INLINE_STATE:
-        columns, tails = [f"x_{i}" for i in range(n)], trace.states
+        columns, tails = [f"x_{i}" for i in range(n)], (x.tolist() for x in trace.states)
     else:
         columns, tails = ["x_min", "x_max"], zip(trace.x_min, trace.x_max)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["step", "disagreement", "conserved", *columns]) + "\n")
+        # every tail entry is a Python float, whose repr is _fmt's
         for step, dis, cons, tail in zip(trace.steps, trace.disagreement, trace.conserved, tails):
-            fh.write(",".join([str(step), _fmt(dis), _fmt(cons), *map(_fmt, tail)]) + "\n")
+            fh.write(",".join([str(step), _fmt(dis), _fmt(cons), *map(repr, tail)]) + "\n")
 
 
 def _opt_float(value: float) -> float | None:
