@@ -35,8 +35,14 @@ grep -qx "traces identical: true" compare-undirected.out
 printf '0 1\n1 0\n1 2\n2 1\n' > path.txt
 $CONSENSIM compare --graph path.txt > compare-path.out
 grep -qx "traces identical: true" compare-path.out
-$CONSENSIM run --graph triangle.txt --mode agents --out agents-out
-test -s agents-out/trace.csv && test -s agents-out/summary.json
+# both modes write the same trace bytes, and the same summary but for its "mode" line
+for g in triangle path; do
+  $CONSENSIM run --graph $g.txt --out $g-matrix > /dev/null
+  $CONSENSIM run --graph $g.txt --mode agents --out $g-agents > /dev/null
+  cmp $g-matrix/trace.csv $g-agents/trace.csv
+  diff <(grep -v '"mode":' $g-matrix/summary.json) <(grep -v '"mode":' $g-agents/summary.json)
+  grep -q '"mode": "agents"' $g-agents/summary.json
+done
 # every shared flag set: each must reach its ExperimentConfig field
 printf '1\n2\n3\n' > w.txt
 printf '6\n0\n0\n' > x0.txt
