@@ -1,8 +1,17 @@
-"""Test-wide configuration: per-criterion result lines after the pytest summary."""
+"""Test hooks: the package path in the header, per-criterion result lines after the summary."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import consensim
+
 _CRITERIA_PREFIX = "test_acceptance.py::"
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src/ ahead of PYTHONPATH
+    return f"consensim under test: {Path(consensim.__file__).parent}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

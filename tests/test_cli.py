@@ -1,4 +1,5 @@
 import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import consensim.agents
 import consensim.cli as cli
 import consensim.engine as engine
 from consensim.cli import ExperimentConfig, default_initial_state, main
@@ -721,20 +723,15 @@ class TestCompare:
 
 
 def count_agent_steps(monkeypatch) -> list:
-    """Patch cli.agent_stepper so that every step of the network it builds is counted."""
+    """Count the rounds of every agent network: each round sends agent 0 one inbox."""
     counted = []
-    real = cli.agent_stepper
 
-    def counting(*args):
-        step = real(*args)
-
-        def counted_step(x):
+    def counting(agent, inbox):
+        if agent.id == 0:
             counted.append(1)
-            return step(x)
+        return inbox
 
-        return counted_step
-
-    monkeypatch.setattr(cli, "agent_stepper", counting)
+    tap_inboxes(monkeypatch, counting)
     return counted
 
 
@@ -769,19 +766,46 @@ class TestCompareContract:
         assert len(counted) == steps_run
 
     @pytest.mark.parametrize(
-        "step, node", [(128, 1), (129, 7), (256, 23), (257, 0)],
-        ids=["last-of-block", "first-of-next", "last-of-256-block", "first-of-next-256"],
+        "step, node", [(1, 3), (128, 1), (129, 7), (256, 23), (257, 0)],
+        ids=["first-round", "last-of-block", "first-of-next", "last-of-256-block",
+             "first-of-next-256"],
     )
     def test_a_fault_at_a_block_edge_is_named_at_its_step_and_node(
         self, step, node, tmp_path, capsys, monkeypatch
     ):
-        # the blocks end at steps 128 and 256, the cycle test's save steps
+        # step 1 is a block of one row; the blocks end at steps 128 and 256,
+        # the cycle test's save steps
         perturb_inbox(monkeypatch, node=node, update=step)
         g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
         assert main(["compare", "--graph", str(g), "--max-steps", "600"]) == 4
         captured = capsys.readouterr()
         assert captured.out == "traces identical: false\n"
         assert f"first divergence: step {step}, node {node} " in captured.err
+
+    @pytest.mark.parametrize("step", [1, 6])
+    def test_a_zero_of_the_other_sign_is_a_divergence(self, step, tmp_path, capsys, monkeypatch):
+        # from a unit pulse at node 0, node 12 of the 24-cycle holds exactly 0.0
+        # until step 12; agent 12 commits -0.0 in its place at the given step,
+        # which equals the matrix's state under == but not bitwise
+        real = consensim.agents._actor
+
+        def flipping(agent, epsilon):
+            actor = real(agent, epsilon)
+            next(actor)
+            inbox = yield
+            for update in itertools.count(1):
+                state = actor.send(inbox)
+                inbox = yield -state if agent.id == 12 and update == step else state
+
+        monkeypatch.setattr(consensim.agents, "_actor", flipping)
+        g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
+        x0 = write(tmp_path, "x0.txt", "1\n" + "0\n" * 23)
+        assert main(["compare", "--graph", str(g), "--x0", str(x0)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "traces identical: false\n"
+        assert captured.err == (
+            f"first divergence: step {step}, node 12 (matrix 0.0, agents -0.0)\n"
+        )
 
 
 class TestBlockLoop:
