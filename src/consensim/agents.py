@@ -14,6 +14,7 @@ order as the matrix engine's do: the trajectories are bit-identical.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Generator
@@ -159,6 +160,15 @@ def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundRe
     return reports
 
 
+def _first_difference(packed: bytes, x: np.ndarray) -> int:
+    # first node where float64 array x differs bitwise from the packed floats, or the shorter size
+    ours = np.frombuffer(packed, dtype=np.uint64)
+    theirs = x.reshape(-1).view(np.uint64)
+    k = min(ours.size, theirs.size)
+    diff = np.flatnonzero(ours[:k] != theirs[:k])
+    return int(diff[0]) if diff.size else k
+
+
 def agent_stepper(
     system: WeightedSystem, x0, epsilon: float
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -177,25 +187,20 @@ def agent_stepper(
     agents = build_agents(system, x0)
     round_ = _network(agents, epsilon)
     published = [a.state for a in agents]
+    pack = struct.Struct(f"{len(agents)}d").pack
     # kept as bytes so a caller mutating a returned array cannot alter it
-    committed = np.array(published, dtype=np.float64).tobytes()
+    committed = pack(*published)
 
     def step(x: np.ndarray) -> np.ndarray:
         nonlocal committed, published
         fed = np.asarray(x, dtype=np.float64)
         if fed.tobytes() != committed:
-            ours = np.frombuffer(committed, dtype=np.uint64)
-            theirs = fed.reshape(-1).view(np.uint64)
-            k = min(ours.size, theirs.size)
-            diff = np.flatnonzero(ours[:k] != theirs[:k])
-            node = int(diff[0]) if diff.size else k
             raise MessageProtocolError(
                 f"stepper fed a state that differs from the agents' committed states "
-                f"at node {node}"
+                f"at node {_first_difference(committed, fed)}"
             )
         published = round_(published)
-        snapshot = np.array(published, dtype=np.float64)
-        committed = snapshot.tobytes()
-        return snapshot
+        committed = pack(*published)
+        return np.frombuffer(committed, dtype=np.float64).copy()
 
     return step

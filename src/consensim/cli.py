@@ -1,7 +1,8 @@
 """Command-line driver: check hypotheses, run consensus, compare execution modes.
 
-compare runs matrix mode in blocks, checks each step bitwise against one agent
-round fed the step before, and reports the exact first divergent step and node.
+compare runs matrix mode in blocks, compares each step after step 0 bitwise with
+one round of agents stepping from their own states, and reports the exact first
+divergent step and node.
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation,
 3 no convergence (the step budget ran out, or the state diverged or
@@ -14,13 +15,14 @@ import argparse
 import json
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .agents import MessageProtocolError, agent_stepper
+from .agents import MessageProtocolError, _first_difference, _network, agent_stepper, build_agents
 from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
@@ -302,22 +304,26 @@ class _Divergence(Exception):
 
 
 def cmd_compare(config, system, x0, eps) -> int:
-    step_agents = agent_stepper(system, x0, eps)
-    prev = None
+    agents = build_agents(system, x0)
+    round_ = _network(agents, _step_size(eps))
+    pack = struct.Struct(f"{system.n}d").pack
+    published = [a.state for a in agents]
 
     def check_block(first: int, rows: np.ndarray) -> None:
-        # each row against an agent round fed the row before; run reuses rows
-        nonlocal prev
+        # one round per row after step 0, from the agents' own states, which
+        # every earlier row has shown bitwise equal to the matrix's
+        nonlocal published
         for steps, xm in enumerate(rows, first):
-            xa = step_agents(prev) if steps else xm
-            if xm.tobytes() != xa.tobytes():
-                node = int(np.flatnonzero(xm.view(np.uint64) != xa.view(np.uint64))[0])
+            if not steps:
+                continue
+            published = round_(published)
+            packed = pack(*published)
+            if packed != xm.tobytes():
+                node = _first_difference(packed, xm)
                 raise _Divergence(
                     f"first divergence: step {steps}, node {node} "
-                    f"(matrix {_fmt(xm[node])}, agents {_fmt(xa[node])})"
+                    f"(matrix {_fmt(xm[node])}, agents {_fmt(published[node])})"
                 )
-            prev = xm
-        prev = prev.copy()
 
     try:
         trace = _execute_run(config, system, x0, eps, on_block=check_block)
