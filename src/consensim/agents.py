@@ -1,23 +1,22 @@
 """Synchronous message-passing simulation of the per-node consensus update.
 
 Each agent is an actor: a coroutine that owns its scalar state and answers
-each inbox it is sent, message k from ``neighbors[k]``, with its next state;
-no agent reads another agent's fields.  A round publishes every committed
-state in one list, gathers each inbox from it in C, by a gather built once
-per network, and hands it straight to the agent's coroutine.  The new list
-is complete before it replaces the old one, so all agents read the same
-snapshot.  ``Agent.inbox`` feeds only local_update, a one-shot actor, and
-stays () after a round.  An agent's neighbors are its run of the system's
-edges in (listener, source) order, so per-agent sums run in ascending id
-order as the matrix engine's do: the trajectories are bit-identical.
+each round's broadcast with its next state; no agent reads another agent's
+fields.  A round publishes every committed state in one list and sends that
+list itself to every actor, which reads its messages from it, message k at
+``neighbors[k]``.  The new list is complete before it replaces the old one,
+so all agents read the same snapshot.  ``Agent.inbox`` feeds only
+local_update, a one-shot actor that reads the inbox by position, and stays
+() after a round.  An agent's neighbors are its run of the system's edges in
+(listener, source) order, so per-agent sums run in ascending id order as the
+matrix engine's do: the trajectories are bit-identical.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Generator
+from dataclasses import dataclass, replace
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -40,24 +39,16 @@ class Agent:
     inbox: tuple[float, ...] = ()
 
 
-def _actor(agent: Agent, epsilon: float) -> Generator[float, tuple[float, ...], None]:
-    # primed by next(); each inbox sent in yields the next state, kept as its own
+def _actor(agent: Agent, epsilon: float) -> Generator[float, Sequence[float], None]:
+    # primed by next(); each broadcast sent in yields the next state, kept as its own
     state, neighbors, rate = agent.state, agent.neighbors, epsilon / agent.weight
-    expected = len(neighbors)
-    inbox = yield
+    published = yield
     while True:
-        if len(inbox) != expected:
-            got = len(inbox)
-            raise MessageProtocolError(
-                f"agent {agent.id} has no message from neighbor {neighbors[got]} this round"
-                if got < expected
-                else f"agent {agent.id} received {got} messages, expected {expected}"
-            )
         total = 0.0
-        for xj in inbox:
-            total += xj - state
+        for j in neighbors:
+            total += published[j] - state
         state = state + rate * total
-        inbox = yield state
+        published = yield state
 
 
 def local_update(agent: Agent, epsilon: float) -> float:
@@ -68,9 +59,18 @@ def local_update(agent: Agent, epsilon: float) -> float:
     value; the agent's state is not modified here.  A missing or surplus
     message is a protocol violation, never treated as a zero.
     """
-    actor = _actor(agent, epsilon)
+    inbox, neighbors = agent.inbox, agent.neighbors
+    got, expected = len(inbox), len(neighbors)
+    if got != expected:
+        raise MessageProtocolError(
+            f"agent {agent.id} has no message from neighbor {neighbors[got]} this round"
+            if got < expected
+            else f"agent {agent.id} received {got} messages, expected {expected}"
+        )
+    # message k sits at index k of the inbox, where the network's actor reads neighbors[k]
+    actor = _actor(replace(agent, neighbors=range(got)), epsilon)
     next(actor)
-    return actor.send(agent.inbox)
+    return actor.send(inbox)
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,16 @@ def build_agents(system: WeightedSystem, x0) -> list[Agent]:
     ]
 
 
-def _gatherer(neighbors: tuple[int, ...]) -> Callable[[list[float]], tuple[float, ...]]:
-    # itemgetter returns a bare value, not a tuple, for a single index
-    if len(neighbors) > 1:
-        return itemgetter(*neighbors)
-    if neighbors:
-        j = neighbors[0]
-        return lambda published: (published[j],)
-    return lambda published: ()
-
-
 def _network(agents: list[Agent], epsilon: float) -> Callable[[list[float]], list[float]]:
-    # one primed actor and one gather per agent; round_ answers a snapshot with the next one
-    pairs = []
+    # one primed actor per agent; round_ sends each the snapshot and answers with the next one
+    sends = []
     for a in agents:
         actor = _actor(a, epsilon)
         next(actor)
-        pairs.append((actor.send, _gatherer(a.neighbors)))
+        sends.append(actor.send)
 
     def round_(published: list[float]) -> list[float]:
-        return [send(gather(published)) for send, gather in pairs]
+        return [send(published) for send in sends]
 
     return round_
 
@@ -125,14 +115,13 @@ def _network(agents: list[Agent], epsilon: float) -> Callable[[list[float]], lis
 def step_round(agents: list[Agent], epsilon: float) -> int:
     """One synchronous round over all agents; returns the number of messages sent.
 
-    Phase one publishes every committed state and gathers each agent one
-    message per neighbor, in neighbor order: its inbox is the tuple of the
-    published floats, gathered by one itemgetter call when it has two or
-    more neighbors.  Phase two hands each inbox straight to the agent's
-    coroutine, which answers with its update; once all have answered, the
-    updates are committed into the records, whose inboxes stay ().  It is
-    one round of run_rounds, so each call builds its own network and raises
-    ValueError when epsilon is not positive and finite.
+    Phase one publishes every committed state in one list.  Phase two sends
+    that list itself to each agent's coroutine, which reads one message per
+    neighbor from it, in neighbor order, and answers with its update; once
+    all have answered, the updates are committed into the records, whose
+    inboxes stay ().  It is one round of run_rounds, so each call builds its
+    own network and raises ValueError when epsilon is not positive and
+    finite.
     """
     return run_rounds(agents, epsilon, 1)[-1].messages_sent
 
@@ -175,12 +164,12 @@ def agent_stepper(
     """Stepper backed by the agent network, for engine.run(..., stepper=...).
 
     The agents own the state: the returned callable runs one more round of
-    the network it builds once, each inbox handed straight to its agent's
-    coroutine as in step_round, and returns the committed snapshot.  Its
-    argument must be bitwise equal to the agents' committed states (the
-    initial states before the first round), which is what the run loop
-    feeds back; any other state raises MessageProtocolError naming the
-    first differing node instead of silently desynchronizing the two
+    the network it builds once, each round's list of published states sent
+    to every agent's coroutine as in step_round, and returns the committed
+    snapshot.  Its argument must be bitwise equal to the agents' committed
+    states (the initial states before the first round), which is what the
+    run loop feeds back; any other state raises MessageProtocolError naming
+    the first differing node instead of silently desynchronizing the two
     views.  Raises ValueError when epsilon is not positive and finite.
     """
     epsilon = _step_size(epsilon)

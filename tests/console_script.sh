@@ -35,10 +35,16 @@ grep -qx "traces identical: true" compare-undirected.out
 printf '0 1\n1 0\n1 2\n2 1\n' > path.txt
 $CONSENSIM compare --graph path.txt > compare-path.out
 grep -qx "traces identical: true" compare-path.out
-# both modes write the same trace bytes, and the same summary but for its "mode" line
-for g in triangle path; do
-  $CONSENSIM run --graph $g.txt --out $g-matrix > /dev/null
-  $CONSENSIM run --graph $g.txt --mode agents --out $g-agents > /dev/null
+# agents with 2, 1 and 0 sources: node 2 listens to nobody, so the graph is
+# not strongly connected and runs only with --allow-uncertified
+printf 'nodes 3\n0 1\n1 0\n1 2\n' > sources.txt
+$CONSENSIM compare --graph sources.txt --allow-uncertified > compare-sources.out
+grep -qx "traces identical: true" compare-sources.out
+# both modes write the same trace bytes, and the same summary but for its
+# "mode" line; --allow-uncertified changes nothing on the certified graphs
+for g in triangle path sources; do
+  $CONSENSIM run --graph $g.txt --allow-uncertified --out $g-matrix > /dev/null
+  $CONSENSIM run --graph $g.txt --allow-uncertified --mode agents --out $g-agents > /dev/null
   cmp $g-matrix/trace.csv $g-agents/trace.csv
   diff <(grep -v '"mode":' $g-matrix/summary.json) <(grep -v '"mode":' $g-agents/summary.json)
   grep -q '"mode": "agents"' $g-agents/summary.json

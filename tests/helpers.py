@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 import consensim.agents
-from consensim.agents import Agent, _gatherer, local_update
+from consensim.agents import Agent, local_update
 from consensim.engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
@@ -447,13 +447,13 @@ def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
     """One synchronous round over the records; returns the committed states.
 
     Every committed state is published into one list, each inbox is filled
-    from it by the agent's gather, every update is computed by local_update
-    from the inboxes alone, and only then are the updates committed and the
-    inboxes emptied.
+    from it, one message per neighbor in neighbor order, every update is
+    computed by local_update from the inboxes alone, and only then are the
+    updates committed and the inboxes emptied.
     """
     published = [a.state for a in agents]
     for a in agents:
-        a.inbox = _gatherer(a.neighbors)(published)
+        a.inbox = tuple(published[j] for j in a.neighbors)
     staged = [local_update(a, epsilon) for a in agents]
     for a, value in zip(agents, staged):
         a.state = value
@@ -461,20 +461,21 @@ def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
     return staged
 
 
-def tap_inboxes(monkeypatch, tap: Callable[[Agent, tuple], tuple]) -> None:
-    """Patch agents._actor so that each inbox an actor is sent passes through tap first.
+def tap_inboxes(monkeypatch, tap: Callable[[Agent, list], list]) -> None:
+    """Patch agents._actor so that each list an actor is sent passes through tap first.
 
-    tap(agent, inbox) returns the inbox the real actor then reads, so a test
-    can record it or corrupt it.
+    Each round sends every actor the list of published states.  tap(agent,
+    published) returns the list the real actor then reads its messages from,
+    at agent.neighbors, so a test can record it or corrupt it.
     """
     real = consensim.agents._actor
 
     def tapped(agent, epsilon):
         actor = real(agent, epsilon)
         next(actor)
-        inbox = yield
+        published = yield
         while True:
-            inbox = yield actor.send(tap(agent, inbox))
+            published = yield actor.send(tap(agent, published))
 
     monkeypatch.setattr(consensim.agents, "_actor", tapped)
 

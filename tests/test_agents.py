@@ -138,27 +138,37 @@ class TestRounds:
         assert step_round([agents[2]], 0.5) == 0
         assert agents[2].state == 7.5
 
-    def test_each_inbox_is_a_tuple_of_the_published_floats(self, monkeypatch):
+    def test_each_actor_is_sent_the_published_list_and_reads_its_neighbors(self, monkeypatch):
         # agent 0 listens to 1, 2 and 3, agent 1 to 0, agents 2 and 3 to
         # nobody; a hand-built agent 4 names neighbor 1 twice
         system, agents = make_agents(
             "nodes 4\n0 1\n0 2\n0 3\n1 0\n", np.ones(4), [1.0, 2.0, 3.0, 4.0]
         )
         agents.append(Agent(id=4, weight=1.0, state=5.0, neighbors=(1, 1)))
-        published = [a.state for a in agents]
-        inboxes = {}
+        sent, reads = {}, {}
 
-        def spy(agent, inbox):
-            inboxes[agent.id] = inbox
-            return inbox
+        class Recording(list):
+            # a copy of the round's list that logs each index read and the float returned
+            def __getitem__(self, j):
+                x = list.__getitem__(self, j)
+                self.log.append((j, x))
+                return x
+
+        def spy(agent, published):
+            sent[agent.id] = published
+            recording = Recording(published)
+            recording.log = reads[agent.id] = []
+            return recording
 
         tap_inboxes(monkeypatch, spy)
         assert step_round(agents, 0.1) == 6
-        assert [len(inboxes[a.id]) for a in agents] == [3, 1, 0, 0, 2]
+        published = sent[0]
+        assert type(published) is list
+        assert published == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(sent[a.id] is published for a in agents)
         for a in agents:
-            inbox = inboxes[a.id]
-            assert type(inbox) is tuple
-            assert all(x is published[j] for x, j in zip(inbox, a.neighbors))
+            assert [j for j, _ in reads[a.id]] == list(a.neighbors)
+            assert all(x is published[j] for j, x in reads[a.id])
 
     def test_report_rounds_are_sequential(self):
         system, agents = make_agents("0 1\n1 0\n", np.ones(2), [2.0, 0.0])
@@ -217,18 +227,18 @@ class TestLockstepWithMatrixEngine:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             agent_stepper(system, [6.0, 0.0, 0.0], bad)
 
-    def test_a_network_builds_its_gathers_once(self, monkeypatch):
+    def test_a_network_primes_its_actors_once(self, monkeypatch):
         # agent 0 listens to 1, 2 and 3, agent 1 to 0, agent 2 to 0 and 3,
-        # agents 3 and 4 to nobody: 50 steps make one itemgetter for each of
-        # agents 0 and 2, not one per round
-        made = []
-        real = consensim.agents.itemgetter
+        # agents 3 and 4 to nobody: 50 steps prime one actor per agent, not
+        # one per round
+        primed = []
+        real = consensim.agents._actor
 
-        def counted(*items):
-            made.append(items)
-            return real(*items)
+        def counted(agent, epsilon):
+            primed.append(agent.id)
+            yield from real(agent, epsilon)
 
-        monkeypatch.setattr(consensim.agents, "itemgetter", counted)
+        monkeypatch.setattr(consensim.agents, "_actor", counted)
         system = build_system(
             parse_edge_list("nodes 5\n0 1\n0 2\n0 3\n1 0\n2 0\n2 3\n"), np.ones(5)
         )
@@ -240,7 +250,7 @@ class TestLockstepWithMatrixEngine:
             x = stepper(x)
             y = step(y)
         assert x.tobytes() == y.tobytes()
-        assert made == [(1, 2, 3), (0, 3)]
+        assert primed == [0, 1, 2, 3, 4]
 
     def test_heavy_weight_ratio_still_bit_identical(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n0 2\n")

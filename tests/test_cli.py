@@ -646,16 +646,19 @@ class TestParser:
 
 
 def perturb_inbox(monkeypatch, node: int, update: int) -> None:
-    """Raise every message in agent node's update-th inbox by 1e-9 before the agent reads it."""
+    """Raise every message agent node reads in its update-th round by 1e-9, in a copy of the list."""
     updates = 0
 
-    def perturbed(agent, inbox):
+    def perturbed(agent, published):
         nonlocal updates
         if agent.id == node:
             updates += 1
             if updates == update:
-                return tuple(x + 1e-9 for x in inbox)
-        return inbox
+                raised = list(published)
+                for j in agent.neighbors:
+                    raised[j] = published[j] + 1e-9
+                return raised
+        return published
 
     tap_inboxes(monkeypatch, perturbed)
 
@@ -723,13 +726,13 @@ class TestCompare:
 
 
 def count_agent_steps(monkeypatch) -> list:
-    """Count the rounds of every agent network: each round sends agent 0 one inbox."""
+    """Count the rounds of every agent network: each round sends agent 0 its list once."""
     counted = []
 
-    def counting(agent, inbox):
+    def counting(agent, published):
         if agent.id == 0:
             counted.append(1)
-        return inbox
+        return published
 
     tap_inboxes(monkeypatch, counting)
     return counted
@@ -1028,6 +1031,28 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert Path(proc.stdout.strip()).resolve() == root / "src" / "consensim" / "__init__.py"
+
+    def test_pytest_refuses_a_pythonpath_package_it_does_not_import(self, tmp_path):
+        # pyproject's pythonpath puts src/ ahead of PYTHONPATH, so a session
+        # whose PYTHONPATH names another tree would test this checkout instead
+        root = Path(__file__).resolve().parents[1]
+        other = tmp_path / "other"
+        (other / "consensim").mkdir(parents=True)
+        (other / "consensim" / "__init__.py").write_text("")
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--collect-only", "tests/test_readme.py"]
+
+        def session(pythonpath):
+            env = {**os.environ, "PYTHONPATH": pythonpath}
+            return subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
+
+        proc = session(str(other))
+        assert proc.returncode == pytest.ExitCode.USAGE_ERROR, proc.stdout + proc.stderr
+        assert str(other / "consensim") in proc.stderr
+        assert str(root / "src" / "consensim") in proc.stderr
+        # the tier-1 command's order: this checkout's src/ first
+        proc = session(os.pathsep.join([str(root / "src"), str(other)]))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestVectorFileParsing:
