@@ -143,6 +143,21 @@ class TestCheck:
         assert rc == 2
         assert "not strictly below the bound" in out
 
+    def test_epsilon_that_rounds_to_the_bound_from_below_is_certified(self, tmp_path, capsys):
+        # the hub's bound 1/3 rounds down to eps, so eps < w/d holds exactly:
+        # Fraction(eps) * 3 < 1, and check and run both certify the star
+        g = write(tmp_path, "star.txt", "nodes 4\n0 1\n0 2\n0 3\n1 0\n2 0\n3 0\n")
+        eps = "0.3333333333333333"
+        assert main(["check", "--graph", str(g), "--epsilon", eps]) == 0
+        out = capsys.readouterr().out
+        assert f"epsilon_bound: {eps}\n" in out
+        assert "certified: true" in out
+        assert "hypotheses: ok" in out
+        run_args = ["run", "--graph", str(g), "--epsilon", eps, "--out", str(tmp_path / "out")]
+        assert main(run_args) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["certified"] is True
+
     def test_malformed_graph_exits_1(self, tmp_path, capsys):
         g = write(tmp_path, "bad.txt", "0 1\n1 x\n")
         rc = main(["check", "--graph", str(g)])
