@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -139,10 +140,11 @@ def build_system(graph: Digraph, w) -> WeightedSystem:
 
 
 def epsilon_bound(system: WeightedSystem) -> float:
-    """Largest certified step size: min over nodes with out-degree > 0 of w_i / d_i.
+    """The least rounded quotient fl(w_i / d_i) over nodes with out-degree > 0.
 
-    Returns +inf for a graph without edges (any step size leaves the state
-    fixed).
+    It may lie an ulp either side of the least w_i / d_i; certify decides an
+    eps equal to it exactly.  Returns +inf for a graph without edges (any step
+    size leaves the state fixed).
     """
     active = system.d > 0
     return float(np.min(system.w[active] / system.d[active], initial=math.inf))
@@ -175,7 +177,13 @@ def certify(system: WeightedSystem, epsilon: float) -> list[str]:
     failed = []
     if not system.strongly_connected:
         failed.append("graph is not strongly connected")
-    if not eps < bound:
+    below = eps < bound
+    if eps == bound:
+        # division rounds to nearest, so eps < w_i / d_i is in doubt only where fl(w_i / d_i) == eps
+        tied = system.w / np.maximum(system.d, 1) == eps
+        pairs = zip(system.w[tied].tolist(), system.d[tied].tolist())
+        below = all(Fraction(eps) * d < Fraction(w) for w, d in pairs)
+    if not below:
         failed.append(f"epsilon {eps!r} is not strictly below the bound {bound!r}")
     return failed
 

@@ -13,6 +13,7 @@ agents with no, one and several neighbors mix.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,16 +357,46 @@ def test_joint_scale_invariance(config, power, factor, data):
 @PROPERTY_SETTINGS
 @given(config=certified_configurations())
 def test_certification_boundary(config):
-    # the bound itself is excluded: the float just below it is certified,
-    # the bound and the float above it are not, and run refuses both
+    # the float just below the bound is certified and the float above it is
+    # not, and run refuses that one; the bound itself is certified exactly
+    # when it lies below every w_i / d_i, which a quotient rounded down allows
     system, _ = config
     bound = epsilon_bound(system)
     below = float(np.nextafter(bound, 0.0))
     assert certify(system, below) == []
     x0 = np.zeros(system.n)
-    for eps in (bound, float(np.nextafter(bound, math.inf))):
-        assert certify(system, eps) == [
-            f"epsilon {eps!r} is not strictly below the bound {bound!r}"
-        ]
-        with pytest.raises(HypothesisViolation):
-            run(system, x0, eps)
+    above = float(np.nextafter(bound, math.inf))
+    refused = [f"epsilon {above!r} is not strictly below the bound {bound!r}"]
+    assert certify(system, above) == refused
+    with pytest.raises(HypothesisViolation):
+        run(system, x0, above)
+    pairs = zip(system.w.tolist(), system.d.tolist())
+    exact = all(Fraction(bound) * d < Fraction(w) for w, d in pairs if d)
+    refused = [f"epsilon {bound!r} is not strictly below the bound {bound!r}"]
+    assert certify(system, bound) == ([] if exact else refused)
+
+
+@PROPERTY_SETTINGS
+@given(
+    nodes=st.lists(
+        st.tuples(
+            st.one_of(st.floats(1e-30, 1e30), st.sampled_from([0.1, 1.0, 3.0, 10.0])),
+            st.integers(1, 12),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_certify_decides_eps_below_each_quotient_exactly(nodes, data):
+    # node i listens to d_i others and weighs w_i, padded with listeners to
+    # nobody; eps is one node's fl(w_i / d_i) or a float next to it, and the
+    # verdict must be the exact comparison eps < w_i / d_i on every node
+    n = max(len(nodes), max(d for _, d in nodes) + 1)
+    edges = {(i, (i + k) % n) for i, (_, d) in enumerate(nodes) for k in range(1, d + 1)}
+    weights = [w for w, _ in nodes] + [1.0] * (n - len(nodes))
+    system = build_system(Digraph(n, frozenset(edges)), weights)
+    w, d = data.draw(st.sampled_from(nodes))
+    eps = float(np.nextafter(w / d, data.draw(st.sampled_from([0.0, w / d, math.inf]))))
+    exact = all(Fraction(eps) * d < Fraction(w) for w, d in nodes)
+    assert any("epsilon" in f for f in certify(system, eps)) is not exact
