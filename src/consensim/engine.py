@@ -179,7 +179,7 @@ def certify(system: WeightedSystem, epsilon: float) -> list[str]:
         failed.append("graph is not strongly connected")
     below = eps < bound
     if eps == bound:
-        # division rounds to nearest, so eps < w_i / d_i is in doubt only where fl(w_i / d_i) == eps
+        # division rounds to nearest: eps < w_i / d_i is in doubt only where fl(w_i / d_i) == eps
         tied = system.w / np.maximum(system.d, 1) == eps
         pairs = zip(system.w[tied].tolist(), system.d[tied].tolist())
         below = all(Fraction(eps) * d < Fraction(w) for w, d in pairs)

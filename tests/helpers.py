@@ -17,7 +17,8 @@ The CLI's default initial state is checked against its original per-node
 splitmix64 loop in Python integers.  The edge-list and vector-file readers
 are checked against their original line loops, kept here as they were.  The
 agent network's oracle is its original round over the Agent records:
-publish, deliver into each inbox, local_update per agent, then commit.
+publish, deliver into each inbox, a plain left-to-right fold per agent,
+then commit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 import consensim.agents
-from consensim.agents import Agent, local_update
+from consensim.agents import Agent
 from consensim.engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
@@ -443,18 +444,27 @@ def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
     assert trace.cycle_floor == ref.cycle_floor
 
 
+def inbox_update(agent: Agent, epsilon: float) -> float:
+    """x_i + (eps / w_i) * sum of (x_j - x_i) over the inbox, left to right from 0.0."""
+    total = 0.0
+    for xj in agent.inbox:
+        total += xj - agent.state
+    return agent.state + (epsilon / agent.weight) * total
+
+
 def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
     """One synchronous round over the records; returns the committed states.
 
     Every committed state is published into one list, each inbox is filled
     from it, one message per neighbor in neighbor order, every update is
-    computed by local_update from the inboxes alone, and only then are the
-    updates committed and the inboxes emptied.
+    computed by inbox_update from the inboxes alone, and only then are the
+    updates committed and the inboxes emptied.  No library code computes an
+    update here.
     """
     published = [a.state for a in agents]
     for a in agents:
         a.inbox = tuple(published[j] for j in a.neighbors)
-    staged = [local_update(a, epsilon) for a in agents]
+    staged = [inbox_update(a, epsilon) for a in agents]
     for a, value in zip(agents, staged):
         a.state = value
         a.inbox = ()

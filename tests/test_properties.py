@@ -26,6 +26,7 @@ from consensim.agents import (  # noqa: E402
     Agent,
     agent_stepper,
     build_agents,
+    local_update,
     run_rounds,
     step_round,
 )
@@ -44,6 +45,7 @@ from consensim.graph import Digraph  # noqa: E402
 from helpers import (  # noqa: E402
     agent_round_oracle,
     assert_same_run,
+    inbox_update,
     random_digraph,
     random_weights,
     reference_run,
@@ -262,6 +264,69 @@ def test_agent_drivers_match_the_round_oracle(seed, data):
         assert np.append(x, reports[r].states[-1]).tobytes() == want, r
     assert np.array([a.state for a in driven]).tobytes() == want
     assert [a.inbox for a in driven] == [()] * (n + 1)
+
+
+special_values = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+
+
+@pytest.mark.parametrize("degree", range(7))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_degree_matches_the_round_oracle(degree, seed, data):
+    # every agent of an 8-node circulant listens to the next `degree` nodes,
+    # and a hand-built agent names node 0 twice among as many neighbours:
+    # degrees 1-4 add their terms written out, the others loop.  The states
+    # carry up to three of +-0.0, +-inf and nan; build_agents refuses a
+    # non-finite x0, so the records are built with zeros and then set, and
+    # agent_stepper runs only when x0 is finite
+    n = 8
+    edges = frozenset((i, (i + k) % n) for i in range(n) for k in range(1, degree + 1))
+    system = build_system(Digraph(n, edges), random_weights(np.random.default_rng(seed), n))
+    eps = default_epsilon(system)
+    x = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n + 1, max_size=n + 1))
+    for i, value in data.draw(st.lists(st.tuples(st.integers(0, n), special_values), max_size=3)):
+        x[i] = value
+    twice = (0, *range(degree))[:degree]
+    networks = []
+    for _ in range(2):
+        agents = build_agents(system, np.zeros(n))
+        agents.append(Agent(id=n, weight=1.5, state=0.0, neighbors=twice))
+        for a, value in zip(agents, x):
+            a.state = value
+        networks.append(agents)
+    driven, oracle = networks
+    reports = run_rounds(driven, eps, 40)
+    x0 = np.array(x[:n])
+    stepper = agent_stepper(system, x0, eps) if np.isfinite(x0).all() else None
+    y = x0
+    for r in range(1, 41):
+        want = np.array(agent_round_oracle(oracle, eps)).tobytes()
+        assert np.array(reports[r].states).tobytes() == want, r
+        if stepper is not None:
+            y = stepper(y)
+            assert np.append(y, reports[r].states[-1]).tobytes() == want, r
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_local_update_matches_the_oracle_update(data):
+    # the one-shot actor against the oracle's own fold, bitwise, at degrees
+    # 0-6, on finite states and inboxes with up to two of +-0.0, +-inf and nan
+    degree = data.draw(st.integers(0, 6))
+    x = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=degree + 1, max_size=degree + 1))
+    specials = st.lists(st.tuples(st.integers(0, degree), special_values), max_size=2)
+    for i, value in data.draw(specials):
+        x[i] = value
+    a = Agent(
+        id=0,
+        weight=data.draw(st.floats(0.1, 10.0)),
+        state=x[0],
+        neighbors=tuple(range(1, degree + 1)),
+        inbox=tuple(x[1:]),
+    )
+    eps = data.draw(st.floats(1e-3, 1.0))
+    got, want = np.float64(local_update(a, eps)), np.float64(inbox_update(a, eps))
+    assert got.tobytes() == want.tobytes()
 
 
 # budgets at and next to the run loop's block edges, plus anything up to 600
