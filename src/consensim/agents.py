@@ -4,12 +4,15 @@ Each agent is an actor: a coroutine that owns its scalar state and answers
 each round's broadcast with its next state; no agent reads another agent's
 fields.  A round publishes every committed state in one list and sends that
 list itself to every actor, which reads its messages from it, message k at
-``neighbors[k]``.  The new list is complete before it replaces the old one,
-so all agents read the same snapshot.  ``Agent.inbox`` feeds only
-local_update, a one-shot actor that reads the inbox by position, and stays
-() after a round.  An agent's neighbors are its run of the system's edges in
-(listener, source) order, so per-agent sums run in ascending id order as the
-matrix engine's do: the trajectories are bit-identical.
+``neighbors[k]``.  An actor of degree 1-4 adds its terms x_j - x_i in one
+written-out expression, in neighbor order from 0.0: the same additions as
+the loop that every other degree runs.  The new list is complete before it
+replaces the old one, so all agents read the same snapshot.
+``Agent.inbox`` feeds only local_update, a one-shot actor that reads the
+inbox by position, and stays () after a round.  An agent's neighbors are
+its run of the system's edges in (listener, source) order, so per-agent
+sums run in ascending id order as the matrix engine's do: the trajectories
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -40,15 +43,37 @@ class Agent:
 
 
 def _actor(agent: Agent, epsilon: float) -> Generator[float, Sequence[float], None]:
-    # primed by next(); each broadcast sent in yields the next state, kept as its own
+    # primed by next(); each broadcast x sent in yields the next state, kept as its own.
+    # Degrees 1-4 add their terms written out, in neighbor order from 0.0; others loop.
     state, neighbors, rate = agent.state, agent.neighbors, epsilon / agent.weight
-    published = yield
+    x = yield
+    if len(neighbors) == 1:
+        (a,) = neighbors
+        while True:
+            state = state + rate * (0.0 + (x[a] - state))
+            x = yield state
+    if len(neighbors) == 2:
+        a, b = neighbors
+        while True:
+            state = state + rate * (0.0 + (x[a] - state) + (x[b] - state))
+            x = yield state
+    if len(neighbors) == 3:
+        a, b, c = neighbors
+        while True:
+            state = state + rate * (0.0 + (x[a] - state) + (x[b] - state) + (x[c] - state))
+            x = yield state
+    if len(neighbors) == 4:
+        a, b, c, d = neighbors
+        while True:
+            total = 0.0 + (x[a] - state) + (x[b] - state) + (x[c] - state) + (x[d] - state)
+            state = state + rate * total
+            x = yield state
     while True:
         total = 0.0
         for j in neighbors:
-            total += published[j] - state
+            total += x[j] - state
         state = state + rate * total
-        published = yield state
+        x = yield state
 
 
 def local_update(agent: Agent, epsilon: float) -> float:

@@ -40,6 +40,11 @@ grep -qx "traces identical: true" compare-path.out
 printf 'nodes 3\n0 1\n1 0\n1 2\n' > sources.txt
 $CONSENSIM compare --graph sources.txt --allow-uncertified > compare-sources.out
 grep -qx "traces identical: true" compare-sources.out
+# node k listens to nodes 0 .. k-1, so the agents' degrees run 0 through 6:
+# degrees 1-4 add their terms written out, 0, 5 and 6 sum in a loop
+for k in $(seq 1 6); do for j in $(seq 0 $((k - 1))); do echo "$k $j"; done; done > degrees.txt
+$CONSENSIM compare --graph degrees.txt --allow-uncertified > compare-degrees.out
+grep -qx "traces identical: true" compare-degrees.out
 # both modes write the same trace bytes, and the same summary but for its
 # "mode" line; --allow-uncertified changes nothing on the certified graphs
 for g in triangle path sources; do
