@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -180,6 +179,7 @@ def certify(system: WeightedSystem, epsilon: float) -> list[str]:
     below = eps < bound
     if eps == bound:
         # division rounds to nearest: eps < w_i / d_i is in doubt only where fl(w_i / d_i) == eps
+        from fractions import Fraction  # only for a tie, so no command starts up importing it
         tied = system.w / np.maximum(system.d, 1) == eps
         pairs = zip(system.w[tied].tolist(), system.d[tied].tolist())
         below = all(Fraction(eps) * d < Fraction(w) for w, d in pairs)
