@@ -423,22 +423,22 @@ def test_joint_scale_invariance(config, power, factor, data):
 @given(config=certified_configurations())
 def test_certification_boundary(config):
     # the float just below the bound is certified and the float above it is
-    # not, and run refuses that one; the bound itself is certified exactly
-    # when it lies below every w_i / d_i, which a quotient rounded down allows
+    # not; the bound itself is certified exactly when it lies below every
+    # w_i / d_i, which a quotient rounded down allows; run refuses the rest
     system, _ = config
     bound = epsilon_bound(system)
-    below = float(np.nextafter(bound, 0.0))
-    assert certify(system, below) == []
-    x0 = np.zeros(system.n)
-    above = float(np.nextafter(bound, math.inf))
-    refused = [f"epsilon {above!r} is not strictly below the bound {bound!r}"]
-    assert certify(system, above) == refused
-    with pytest.raises(HypothesisViolation):
-        run(system, x0, above)
+    assert certify(system, float(np.nextafter(bound, 0.0))) == []
     pairs = zip(system.w.tolist(), system.d.tolist())
     exact = all(Fraction(bound) * d < Fraction(w) for w, d in pairs if d)
-    refused = [f"epsilon {bound!r} is not strictly below the bound {bound!r}"]
-    assert certify(system, bound) == ([] if exact else refused)
+    for eps, certified in ((bound, exact), (float(np.nextafter(bound, math.inf)), False)):
+        if certified:
+            assert certify(system, eps) == []
+            continue
+        assert certify(system, eps) == [
+            f"epsilon {eps!r} is not strictly below the bound {bound!r}"
+        ]
+        with pytest.raises(HypothesisViolation):
+            run(system, np.zeros(system.n), eps)
 
 
 @PROPERTY_SETTINGS
