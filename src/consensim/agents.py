@@ -7,18 +7,18 @@ list itself to every actor, which reads its messages from it, message k at
 ``neighbors[k]``.  An actor of degree 1-4 adds its terms x_j - x_i in one
 written-out expression, in neighbor order from 0.0: the same additions as
 the loop that every other degree runs.  The new list is complete before it
-replaces the old one, so all agents read the same snapshot.
-``Agent.inbox`` feeds only local_update, a one-shot actor that reads the
-inbox by position, and stays () after a round.  An agent's neighbors are
-its run of the system's edges in (listener, source) order, so per-agent
-sums run in ascending id order as the matrix engine's do: the trajectories
-are bit-identical.
+replaces the old one, so all agents read the same snapshot.  An agent's
+neighbors are its run of the system's edges in (listener, source) order, so
+per-agent sums run in ascending id order as the matrix engine's do: the
+trajectories are bit-identical.  run_rounds drives the records and
+agent_stepper drives engine.run; the CLI's compare and run --mode agents
+check each matrix step against one round of a network of their own.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -28,18 +28,17 @@ from .linalg import as_vector
 
 
 class MessageProtocolError(RuntimeError):
-    """An agent's inbox did not hold exactly one message per neighbor."""
+    """The agents were fed a state other than the one they committed."""
 
 
 @dataclass
 class Agent:
-    """One node: id, weight, state, distinct neighbor ids, inbox (message k from neighbors[k])."""
+    """One node: id, weight, state, and the distinct ids it reads, message k from neighbors[k]."""
 
     id: int
     weight: float
     state: float
     neighbors: tuple[int, ...]
-    inbox: tuple[float, ...] = ()
 
 
 def _actor(agent: Agent, epsilon: float) -> Generator[float, Sequence[float], None]:
@@ -74,28 +73,6 @@ def _actor(agent: Agent, epsilon: float) -> Generator[float, Sequence[float], No
             total += x[j] - state
         state = state + rate * total
         x = yield state
-
-
-def local_update(agent: Agent, epsilon: float) -> float:
-    """Next state for one agent from its own fields and inbox alone.
-
-    Returns x_i + (eps / w_i) * sum_j (x_j - x_i), summing the inbox left to
-    right, i.e. over neighbors in ascending id order.  The caller commits the
-    value; the agent's state is not modified here.  A missing or surplus
-    message is a protocol violation, never treated as a zero.
-    """
-    inbox, neighbors = agent.inbox, agent.neighbors
-    got, expected = len(inbox), len(neighbors)
-    if got != expected:
-        raise MessageProtocolError(
-            f"agent {agent.id} has no message from neighbor {neighbors[got]} this round"
-            if got < expected
-            else f"agent {agent.id} received {got} messages, expected {expected}"
-        )
-    # message k sits at index k of the inbox, where the network's actor reads neighbors[k]
-    actor = _actor(replace(agent, neighbors=range(got)), epsilon)
-    next(actor)
-    return actor.send(inbox)
 
 
 @dataclass(frozen=True)
@@ -137,27 +114,14 @@ def _network(agents: list[Agent], epsilon: float) -> Callable[[list[float]], lis
     return round_
 
 
-def step_round(agents: list[Agent], epsilon: float) -> int:
-    """One synchronous round over all agents; returns the number of messages sent.
-
-    Phase one publishes every committed state in one list.  Phase two sends
-    that list itself to each agent's coroutine, which reads one message per
-    neighbor from it, in neighbor order, and answers with its update; once
-    all have answered, the updates are committed into the records, whose
-    inboxes stay ().  It is one round of run_rounds, so each call builds its
-    own network and raises ValueError when epsilon is not positive and
-    finite.
-    """
-    return run_rounds(agents, epsilon, 1)[-1].messages_sent
-
-
 def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundReport]:
     """Drive the network for a number of rounds, reporting after each.
 
     The report list starts with round 0 (the initial states, no messages);
-    rounds == 0 therefore yields exactly that single report.  The rounds are
-    step_round's, with the network built once for the whole call.  Raises
-    ValueError when epsilon is not positive and finite.
+    rounds == 0 therefore yields exactly that single report.  Each round's
+    updates are committed into the records once all agents have answered;
+    the network is built once for the whole call.  Raises ValueError when
+    epsilon is not positive and finite.
     """
     epsilon = _step_size(epsilon)
     if rounds < 0:
@@ -169,7 +133,7 @@ def run_rounds(agents: list[Agent], epsilon: float, rounds: int) -> list[RoundRe
     for r in range(1, rounds + 1):
         published = round_(published)
         for a, value in zip(agents, published):
-            a.state, a.inbox = value, ()
+            a.state = value
         reports.append(RoundReport(round=r, states=tuple(published), messages_sent=sent))
     return reports
 
@@ -190,7 +154,7 @@ def agent_stepper(
 
     The agents own the state: the returned callable runs one more round of
     the network it builds once, each round's list of published states sent
-    to every agent's coroutine as in step_round, and returns the committed
+    to every agent's coroutine as in run_rounds, and returns the committed
     snapshot.  Its argument must be bitwise equal to the agents' committed
     states (the initial states before the first round), which is what the
     run loop feeds back; any other state raises MessageProtocolError naming

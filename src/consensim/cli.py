@@ -1,12 +1,12 @@
 """Command-line driver: check hypotheses, run consensus, compare execution modes.
 
-compare runs matrix mode in blocks, compares each step after step 0 bitwise with
-one round of agents stepping from their own states, and reports the exact first
-divergent step and node.
+compare, and run in agents mode, step the matrix in blocks and check each step
+after step 0 bitwise against one round of agents stepping from their own
+states; a mismatch names the exact first divergent step and node.
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation,
 3 no convergence (the step budget ran out, or the state diverged or
-cycled), 4 mode mismatch in compare.
+cycled), 4 mode mismatch in compare or run --mode agents.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import MessageProtocolError, _first_difference, _network, agent_stepper, build_agents
+from .agents import _first_difference, _network, build_agents
 from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SNAPSHOT_LIMIT,
@@ -258,9 +258,44 @@ def _execute_run(
         raise HypothesisViolation(f"{exc}; pass --allow-uncertified to run anyway") from None
 
 
+class _Divergence(Exception):
+    """The two modes' states first differ; the message names the step and node."""
+
+
+def _agent_check(system: WeightedSystem, x0: np.ndarray, eps: float):
+    """on_block hook that checks each row after step 0 against one agent round."""
+    agents = build_agents(system, x0)
+    round_ = _network(agents, _step_size(eps))
+    pack = struct.Struct(f"{system.n}d").pack
+    published = [a.state for a in agents]
+
+    def check_block(first: int, rows: np.ndarray) -> None:
+        # one round per row after step 0, from the agents' own states, which
+        # every earlier row has shown bitwise equal to the matrix's
+        nonlocal published
+        for steps, xm in enumerate(rows, first):
+            if not steps:
+                continue
+            published = round_(published)
+            packed = pack(*published)
+            if packed != xm.tobytes():
+                node = _first_difference(packed, xm)
+                raise _Divergence(
+                    f"first divergence: step {steps}, node {node} "
+                    f"(matrix {_fmt(xm[node])}, agents {_fmt(published[node])})"
+                )
+
+    return check_block
+
+
 def cmd_run(config, system, x0, eps) -> int:
-    stepper = agent_stepper(system, x0, eps) if config.mode == "agents" else None
-    trace = _execute_run(config, system, x0, eps, stepper=stepper)
+    # agents mode records the matrix rows once each is shown bitwise equal to the agents'
+    on_block = _agent_check(system, x0, eps) if config.mode == "agents" else None
+    try:
+        trace = _execute_run(config, system, x0, eps, on_block=on_block)
+    except _Divergence as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
 
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -299,34 +334,9 @@ def cmd_run(config, system, x0, eps) -> int:
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
-class _Divergence(Exception):
-    """The two modes' states first differ; the message names the step and node."""
-
-
 def cmd_compare(config, system, x0, eps) -> int:
-    agents = build_agents(system, x0)
-    round_ = _network(agents, _step_size(eps))
-    pack = struct.Struct(f"{system.n}d").pack
-    published = [a.state for a in agents]
-
-    def check_block(first: int, rows: np.ndarray) -> None:
-        # one round per row after step 0, from the agents' own states, which
-        # every earlier row has shown bitwise equal to the matrix's
-        nonlocal published
-        for steps, xm in enumerate(rows, first):
-            if not steps:
-                continue
-            published = round_(published)
-            packed = pack(*published)
-            if packed != xm.tobytes():
-                node = _first_difference(packed, xm)
-                raise _Divergence(
-                    f"first divergence: step {steps}, node {node} "
-                    f"(matrix {_fmt(xm[node])}, agents {_fmt(published[node])})"
-                )
-
     try:
-        trace = _execute_run(config, system, x0, eps, on_block=check_block)
+        trace = _execute_run(config, system, x0, eps, on_block=_agent_check(system, x0, eps))
     except _Divergence as exc:
         print("traces identical: false")
         print(exc, file=sys.stderr)
@@ -354,7 +364,7 @@ def main(argv=None) -> int:
         # MemoryError: numpy refuses an array as long as the input's node count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (HypothesisViolation, NullSpaceError, MessageProtocolError) as exc:
+    except (HypothesisViolation, NullSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 

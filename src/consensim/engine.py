@@ -374,19 +374,19 @@ def run(
     tracked; otherwise those fields are nan.
 
     stepper replaces the built-in matrix update with any callable mapping a
-    state vector to the next state, which is how the message-passing
-    simulator is driven through the identical reporting path.  A caller's
-    stepper is called exactly once per step, each time with the state it
-    last returned, and never past the stopping step, a cycled one included:
-    each state it returns is checked against the stopping rule, and saved
-    if it falls on a save step (the end of its block), before the next
-    call.  A returned state whose shape is not (n,) raises ValueError.  The
-    built-in update steps a whole block in one call of matrix_stepper's
+    state vector to the next state, agent_stepper's network among them.  A
+    caller's stepper is called exactly once per step, each time with the
+    state it last returned, and never past the stopping step, a cycled one
+    included: each state it returns is checked against the stopping rule,
+    and saved if it falls on a save step (the end of its block), before the
+    next call.  A returned state whose shape is not (n,) raises ValueError.
+    The built-in update steps a whole block in one call of matrix_stepper's
     block loop, each step straight into its row, and is pure, so the steps
     its blocks take past the stopping step are discarded.  on_block(k, rows),
     when given, is called with each block's first step k and its rows up to
     the stopping step, before any is recorded; the rows are views of a
-    buffer the next block reuses.  compare checks the agents this way.
+    buffer the next block reuses.  compare and run --mode agents check the
+    agents this way.
     """
     max_steps, snapshot_limit = _check_limits(tol, max_steps, snapshot_limit)
     x = as_vector(x0, system.n).copy()

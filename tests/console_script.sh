@@ -46,8 +46,9 @@ for k in $(seq 1 6); do for j in $(seq 0 $((k - 1))); do echo "$k $j"; done; don
 $CONSENSIM compare --graph degrees.txt --allow-uncertified > compare-degrees.out
 grep -qx "traces identical: true" compare-degrees.out
 # both modes write the same trace bytes, and the same summary but for its
-# "mode" line; --allow-uncertified changes nothing on the certified graphs
-for g in triangle path sources; do
+# "mode" line; --allow-uncertified changes nothing on the certified graphs.
+# The degrees graph runs every agent fold, written out or looped
+for g in triangle undirected path sources degrees; do
   $CONSENSIM run --graph $g.txt --allow-uncertified --out $g-matrix > /dev/null
   $CONSENSIM run --graph $g.txt --allow-uncertified --mode agents --out $g-agents > /dev/null
   cmp $g-matrix/trace.csv $g-agents/trace.csv

@@ -175,7 +175,7 @@ CASES = {
     ),
     "check-nodes3": ["check", "--graph", "{in}/nodes3.txt"],
     "run-nodes3": run("--graph", "{in}/nodes3.txt"),
-    # rounds of agents without neighbours: every inbox stays empty, and
+    # rounds of agents without neighbours: no agent reads a message, and
     # x(1) = x(0) ends the run as cycled
     "run-nodes3-agents": run(
         "--graph", "{in}/nodes3.txt", "--allow-uncertified", "--max-steps", "5", "--mode", "agents"
@@ -185,7 +185,7 @@ CASES = {
         "--graph", "{in}/five-cycle.txt", "--x0", "{in}/five-cycle-x0.txt", "--max-steps", "5000"
     ),
     "run-triangle-stalled-tol-1e-300": run("--graph", T, "--tol", "1e-300", "--max-steps", "5000"),
-    # the lockstep stepper stops on the cycle too, and both traces agree
+    # compare's agent network stops on the cycle too, and both traces agree
     "compare-triangle-stalled-tol-1e-300": compare(
         "--graph", T, "--tol", "1e-300", "--max-steps", "5000"
     ),

@@ -17,14 +17,15 @@ The CLI's default initial state is checked against its original per-node
 splitmix64 loop in Python integers.  The edge-list and vector-file readers
 are checked against their original line loops, kept here as they were.  The
 agent network's oracle is its original round over the Agent records:
-publish, deliver into each inbox, a plain left-to-right fold per agent,
-then commit.
+publish, deliver into each agent's inbox, a plain left-to-right fold per
+agent, then commit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import replace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -444,10 +445,10 @@ def assert_same_run(trace: RunTrace, ref: RunTrace) -> None:
     assert trace.cycle_floor == ref.cycle_floor
 
 
-def inbox_update(agent: Agent, epsilon: float) -> float:
+def inbox_update(agent: Agent, epsilon: float, inbox: Sequence[float]) -> float:
     """x_i + (eps / w_i) * sum of (x_j - x_i) over the inbox, left to right from 0.0."""
     total = 0.0
-    for xj in agent.inbox:
+    for xj in inbox:
         total += xj - agent.state
     return agent.state + (epsilon / agent.weight) * total
 
@@ -455,20 +456,29 @@ def inbox_update(agent: Agent, epsilon: float) -> float:
 def agent_round_oracle(agents: list[Agent], epsilon: float) -> list[float]:
     """One synchronous round over the records; returns the committed states.
 
-    Every committed state is published into one list, each inbox is filled
-    from it, one message per neighbor in neighbor order, every update is
-    computed by inbox_update from the inboxes alone, and only then are the
-    updates committed and the inboxes emptied.  No library code computes an
-    update here.
+    Every committed state is published into one list, each agent's inbox is
+    filled from it, one message per neighbor in neighbor order, every update
+    is computed by inbox_update from its inbox alone, and only then are the
+    updates committed.  No library code computes an update here.
     """
     published = [a.state for a in agents]
-    for a in agents:
-        a.inbox = tuple(published[j] for j in a.neighbors)
-    staged = [inbox_update(a, epsilon) for a in agents]
+    inboxes = [[published[j] for j in a.neighbors] for a in agents]
+    staged = [inbox_update(a, epsilon, inbox) for a, inbox in zip(agents, inboxes)]
     for a, value in zip(agents, staged):
         a.state = value
-        a.inbox = ()
     return staged
+
+
+def actor_update(agent: Agent, epsilon: float, inbox: Sequence[float]) -> float:
+    """The agent's next state by one send to agents._actor, which reads message k at index k.
+
+    The actor is built with neighbors = range(len(inbox)) and sent the inbox
+    as a list, so every degree's fold, written out or looped, reads it in
+    order.  The agent record is not modified.
+    """
+    actor = consensim.agents._actor(replace(agent, neighbors=range(len(inbox))), epsilon)
+    next(actor)
+    return actor.send(list(inbox))
 
 
 def tap_inboxes(monkeypatch, tap: Callable[[Agent, list], list]) -> None:

@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 import consensim.agents
-from consensim.agents import (
-    Agent,
-    MessageProtocolError,
-    agent_stepper,
-    build_agents,
-    local_update,
-    run_rounds,
-    step_round,
-)
+from consensim.agents import Agent, MessageProtocolError, agent_stepper, build_agents, run_rounds
 from consensim.engine import build_system, default_epsilon, matrix_stepper
 from consensim.graph import parse_edge_list
 
-from helpers import random_system, random_weights, tap_inboxes
+from helpers import actor_update, random_system, random_weights, tap_inboxes
 
 THREE_CYCLE = parse_edge_list("0 1\n1 2\n2 0\n")
 
@@ -25,54 +17,33 @@ def make_agents(graph_text, w, x0):
 
 
 class TestLocalUpdate:
+    # one send to an agent's actor, with its messages at indices 0 .. k-1
     def test_single_neighbor(self):
-        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0,))
-        assert local_update(a, 0.5) == 1.0
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,))
+        assert actor_update(a, 0.5, [2.0]) == 1.0
 
     def test_no_neighbors_keeps_state(self):
         a = Agent(id=3, weight=2.0, state=-4.5, neighbors=())
-        assert local_update(a, 0.7) == -4.5
+        assert actor_update(a, 0.7, []) == -4.5
 
     def test_equal_states_are_a_fixed_point(self):
-        a = Agent(id=0, weight=3.0, state=2.5, neighbors=(1, 2), inbox=(2.5, 2.5))
-        assert local_update(a, 0.9) == 2.5
+        a = Agent(id=0, weight=3.0, state=2.5, neighbors=(1, 2))
+        assert actor_update(a, 0.9, [2.5, 2.5]) == 2.5
 
     def test_weight_scales_the_step(self):
-        light = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(4.0,))
-        heavy = Agent(id=0, weight=4.0, state=0.0, neighbors=(1,), inbox=(4.0,))
-        assert local_update(light, 0.5) == 2.0
-        assert local_update(heavy, 0.5) == 0.5
-
-    def test_missing_message_is_a_protocol_violation(self):
-        a = Agent(id=2, weight=1.0, state=0.0, neighbors=(0, 1), inbox=(1.0,))
-        with pytest.raises(MessageProtocolError, match="agent 2 has no message from neighbor 1"):
-            local_update(a, 0.5)
-
-    def test_surplus_message_is_a_protocol_violation(self):
-        a = Agent(id=4, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0, 3.0))
-        with pytest.raises(MessageProtocolError, match="agent 4 received 2 messages, expected 1"):
-            local_update(a, 0.5)
-
-    def test_missing_message_from_the_only_neighbor(self):
-        a = Agent(id=5, weight=1.0, state=0.0, neighbors=(3,), inbox=())
-        with pytest.raises(
-            MessageProtocolError, match="agent 5 has no message from neighbor 3 this round"
-        ):
-            local_update(a, 0.5)
-
-    def test_message_to_an_agent_without_neighbors(self):
-        a = Agent(id=6, weight=1.0, state=0.0, neighbors=(), inbox=(1.0,))
-        with pytest.raises(MessageProtocolError, match="agent 6 received 1 messages, expected 0"):
-            local_update(a, 0.5)
+        light = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,))
+        heavy = Agent(id=0, weight=4.0, state=0.0, neighbors=(1,))
+        assert actor_update(light, 0.5, [4.0]) == 2.0
+        assert actor_update(heavy, 0.5, [4.0]) == 0.5
 
     def test_repeated_neighbor_gets_one_message_per_entry(self):
         # no graph builds such an agent; a hand-built one is read positionally
-        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1, 1), inbox=(2.0, 6.0))
-        assert local_update(a, 0.25) == 2.0
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1, 1))
+        assert actor_update(a, 0.25, [2.0, 6.0]) == 2.0
 
     def test_does_not_commit_state(self):
-        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,), inbox=(2.0,))
-        local_update(a, 0.5)
+        a = Agent(id=0, weight=1.0, state=0.0, neighbors=(1,))
+        actor_update(a, 0.5, [2.0])
         assert a.state == 0.0
 
 
@@ -80,7 +51,7 @@ class TestRounds:
     def test_one_round_of_unit_cycle(self):
         # each node moves halfway toward the node it listens to
         system, agents = make_agents("0 1\n1 2\n2 0\n", np.ones(3), [1.0, 0.0, 0.0])
-        sent = step_round(agents, 0.5)
+        sent = run_rounds(agents, 0.5, 1)[-1].messages_sent
         assert sent == 3
         assert [a.state for a in agents] == [0.5, 0.0, 0.5]
 
@@ -115,27 +86,22 @@ class TestRounds:
     def test_a_round_rejects_a_step_size_that_is_not_positive_and_finite(self, bad):
         system, agents = make_agents("0 1\n1 2\n2 0\n", np.ones(3), [9.0, 0.0, 3.0])
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-            step_round(agents, bad)
+            run_rounds(agents, bad, 1)
         assert [a.state for a in agents] == [9.0, 0.0, 3.0]
 
     def test_updates_commit_only_after_all_messages_computed(self):
         # 1 listens to 0 and 0 listens to 2; committing agent 0 in place
         # before agent 1 reads would give agent 1 the value 4 instead of 2
         system, agents = make_agents("0 2\n1 0\n", np.ones(3), [0.0, 4.0, 8.0])
-        step_round(agents, 0.5)
+        run_rounds(agents, 0.5, 1)
         assert [a.state for a in agents] == [4.0, 2.0, 8.0]
-
-    def test_inboxes_are_empty_after_a_round(self):
-        system, agents = make_agents("0 1\n0 2\n1 0\n2 0\n", np.ones(3), [1.0, 2.0, 3.0])
-        step_round(agents, 0.4)
-        assert [a.inbox for a in agents] == [(), (), ()]
 
     def test_agent_without_neighbors_sends_nothing_and_keeps_its_state(self):
         system, agents = make_agents("nodes 3\n0 1\n1 0\n", np.ones(3), [1.0, 0.0, 7.5])
         assert agents[2].neighbors == ()
-        assert step_round(agents, 0.5) == 2
+        assert run_rounds(agents, 0.5, 1)[-1].messages_sent == 2
         assert agents[2].state == 7.5
-        assert step_round([agents[2]], 0.5) == 0
+        assert run_rounds([agents[2]], 0.5, 1)[-1].messages_sent == 0
         assert agents[2].state == 7.5
 
     def test_each_actor_is_sent_the_published_list_and_reads_its_neighbors(self, monkeypatch):
@@ -161,7 +127,7 @@ class TestRounds:
             return recording
 
         tap_inboxes(monkeypatch, spy)
-        assert step_round(agents, 0.1) == 6
+        assert run_rounds(agents, 0.1, 1)[-1].messages_sent == 6
         published = sent[0]
         assert type(published) is list
         assert published == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -203,7 +169,7 @@ class TestLockstepWithMatrixEngine:
         x = np.array(x0)
         for _ in range(20):
             x = stepper(x)
-            step_round(agents, eps)
+            run_rounds(agents, eps, 1)
             assert x.tobytes() == np.array([a.state for a in agents]).tobytes()
 
     def test_agent_stepper_rejects_a_state_other_than_its_own(self):
@@ -261,7 +227,7 @@ class TestLockstepWithMatrixEngine:
         step = matrix_stepper(system, eps)
         x = x0.copy()
         for _ in range(100):
-            step_round(agents, eps)
+            run_rounds(agents, eps, 1)
             x = step(x)
             assert np.array([a.state for a in agents]).tobytes() == x.tobytes()
 

@@ -753,8 +753,24 @@ def count_agent_steps(monkeypatch) -> list:
     return counted
 
 
+def checked_command(command: str, tmp_path) -> list:
+    """The argv head of a command that checks every step against the agent network."""
+    if command == "compare":
+        return ["compare"]
+    return ["run", "--mode", "agents", "--out", str(tmp_path / "agents")]
+
+
+# what each checked command prints on stdout when the agents diverge
+MISMATCH_OUT = {"compare": "traces identical: false\n", "run-agents": ""}
+
+
+def assert_nothing_written(tmp_path) -> None:
+    assert not (tmp_path / "agents" / "trace.csv").exists()
+    assert not (tmp_path / "agents" / "summary.json").exists()
+
+
 class TestCompareContract:
-    """compare steps the agent network once per step the run takes, and no further."""
+    """compare and run --mode agents step the agent network once per step the run takes."""
 
     @pytest.mark.parametrize(
         "graph, flags, stop",
@@ -782,26 +798,38 @@ class TestCompareContract:
         assert "traces identical: true" in printed
         assert f"converged: {'true' if stop == 'converged' else 'false'}" in printed
         assert len(counted) == steps_run
+        counted.clear()
+        rc = main(checked_command("run-agents", tmp_path) + ["--graph", str(g)] + flags)
+        assert rc == (0 if stop == "converged" else 3)
+        assert stop in capsys.readouterr().err or stop == "converged"
+        assert len(counted) == steps_run
+        assert filecmp.cmp(out / "trace.csv", tmp_path / "agents" / "trace.csv", shallow=False)
 
+    @pytest.mark.parametrize("command", ["compare", "run-agents"])
     @pytest.mark.parametrize(
         "step, node", [(1, 3), (128, 1), (129, 7), (256, 23), (257, 0)],
         ids=["first-round", "last-of-block", "first-of-next", "last-of-256-block",
              "first-of-next-256"],
     )
     def test_a_fault_at_a_block_edge_is_named_at_its_step_and_node(
-        self, step, node, tmp_path, capsys, monkeypatch
+        self, step, node, command, tmp_path, capsys, monkeypatch
     ):
         # step 1 is a block of one row; the blocks end at steps 128 and 256,
         # the cycle test's save steps
         perturb_inbox(monkeypatch, node=node, update=step)
         g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
-        assert main(["compare", "--graph", str(g), "--max-steps", "600"]) == 4
+        argv = checked_command(command, tmp_path) + ["--graph", str(g), "--max-steps", "600"]
+        assert main(argv) == 4
         captured = capsys.readouterr()
-        assert captured.out == "traces identical: false\n"
+        assert captured.out == MISMATCH_OUT[command]
         assert f"first divergence: step {step}, node {node} " in captured.err
+        assert_nothing_written(tmp_path)
 
+    @pytest.mark.parametrize("command", ["compare", "run-agents"])
     @pytest.mark.parametrize("step", [1, 6])
-    def test_a_zero_of_the_other_sign_is_a_divergence(self, step, tmp_path, capsys, monkeypatch):
+    def test_a_zero_of_the_other_sign_is_a_divergence(
+        self, step, command, tmp_path, capsys, monkeypatch
+    ):
         # from a unit pulse at node 0, node 12 of the 24-cycle holds exactly 0.0
         # until step 12; agent 12 commits -0.0 in its place at the given step,
         # which equals the matrix's state under == but not bitwise
@@ -818,18 +846,24 @@ class TestCompareContract:
         monkeypatch.setattr(consensim.agents, "_actor", flipping)
         g = write(tmp_path, "cycle.txt", SLOW_CYCLE)
         x0 = write(tmp_path, "x0.txt", "1\n" + "0\n" * 23)
-        assert main(["compare", "--graph", str(g), "--x0", str(x0)]) == 4
+        argv = checked_command(command, tmp_path) + ["--graph", str(g), "--x0", str(x0)]
+        assert main(argv) == 4
         captured = capsys.readouterr()
-        assert captured.out == "traces identical: false\n"
+        assert captured.out == MISMATCH_OUT[command]
         assert captured.err == (
             f"first divergence: step {step}, node 12 (matrix 0.0, agents -0.0)\n"
         )
+        assert_nothing_written(tmp_path)
 
 
 class TestBlockLoop:
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "command, status, rounds",
+        [(["run"], 3, 0), (["compare"], 0, 2000), (["run", "--mode", "agents"], 3, 2000)],
+        ids=["run", "compare", "run-agents"],
+    )
     def test_one_block_loop_call_per_block_and_no_single_steps(
-        self, command, tmp_path, monkeypatch, capsys
+        self, command, status, rounds, tmp_path, monkeypatch, capsys
     ):
         # the 85-cycle's 2000-step budget: blocks up to each save step 1, 2,
         # 4, ..., 256, then 256 rows each, the last one cut by the budget
@@ -859,11 +893,11 @@ class TestBlockLoop:
         monkeypatch.setattr(cli, "matrix_stepper", spied_stepper, raising=False)
         counted = count_agent_steps(monkeypatch)
         g = write(tmp_path, "cycle.txt", "".join(f"{i} {(i + 1) % 85}\n" for i in range(85)))
-        argv = [command, "--graph", str(g), "--max-steps", "2000", "--out", str(tmp_path / "o")]
-        assert main(argv) == (3 if command == "run" else 0)
+        argv = command + ["--graph", str(g), "--max-steps", "2000", "--out", str(tmp_path / "o")]
+        assert main(argv) == status
         assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 128] + [256] * 6 + [208]
         assert steps == []
-        assert len(counted) == (2000 if command == "compare" else 0)
+        assert len(counted) == rounds
 
 
 class TestOneCertificationPerCommand:

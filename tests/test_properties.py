@@ -22,14 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from consensim.agents import (  # noqa: E402
-    Agent,
-    agent_stepper,
-    build_agents,
-    local_update,
-    run_rounds,
-    step_round,
-)
+from consensim.agents import Agent, agent_stepper, build_agents, run_rounds  # noqa: E402
 from consensim.engine import (  # noqa: E402
     HypothesisViolation,
     _advance,
@@ -43,6 +36,7 @@ from consensim.engine import (  # noqa: E402
 from consensim.graph import Digraph  # noqa: E402
 
 from helpers import (  # noqa: E402
+    actor_update,
     agent_round_oracle,
     assert_same_run,
     inbox_update,
@@ -184,10 +178,10 @@ def test_a_block_of_steps_is_as_many_single_steps_and_agent_rounds(seed, data):
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_every_agent_driver_matches_the_matrix_stepper(seed, data):
-    # agent_stepper, run_rounds and repeated step_round calls on a graph
-    # with an isolated last node; the two round drivers also carry a
+    # agent_stepper, run_rounds and repeated one-round run_rounds calls on a
+    # graph with an isolated last node; the two round drivers also carry a
     # hand-built agent that names neighbor 1 twice, whose update is spelled
-    # out here in local_update's order, the sum starting from 0.0
+    # out here in the actor's order, the sum starting from 0.0
     rng = np.random.default_rng(seed)
     g = random_digraph(rng, n_lo=1, n_hi=9, dens_lo=0.0, dens_hi=0.6, require_strong=False)
     g = Digraph(g.n + 1, g.edges)
@@ -214,13 +208,12 @@ def test_every_agent_driver_matches_the_matrix_stepper(seed, data):
         extra = extra + (eps / 1.5) * (0.0 + (x1 - extra) + (x1 - extra))
         x = matrix(x)
         y = stepper(y)
-        assert step_round(by_call, eps) == m
+        assert run_rounds(by_call, eps, 1)[-1].messages_sent == m
         want = np.append(x, extra).tobytes()
         assert y.tobytes() == x.tobytes(), r
         assert np.array(reports[r].states).tobytes() == want, r
         assert reports[r].messages_sent == m
         assert np.array([a.state for a in by_call]).tobytes() == want, r
-    assert all(a.inbox == () for agents in networks for a in agents)
 
 
 @PROPERTY_SETTINGS
@@ -263,7 +256,6 @@ def test_agent_drivers_match_the_round_oracle(seed, data):
         # the hand-built agent is a listener only: no other agent reads it
         assert np.append(x, reports[r].states[-1]).tobytes() == want, r
     assert np.array([a.state for a in driven]).tobytes() == want
-    assert [a.inbox for a in driven] == [()] * (n + 1)
 
 
 special_values = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
@@ -310,8 +302,9 @@ def test_every_degree_matches_the_round_oracle(degree, seed, data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_local_update_matches_the_oracle_update(data):
-    # the one-shot actor against the oracle's own fold, bitwise, at degrees
-    # 0-6, on finite states and inboxes with up to two of +-0.0, +-inf and nan
+    # one send to the actor against the oracle's own fold, bitwise, at
+    # degrees 0-6, on finite states and inboxes with up to two of +-0.0,
+    # +-inf and nan
     degree = data.draw(st.integers(0, 6))
     x = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=degree + 1, max_size=degree + 1))
     specials = st.lists(st.tuples(st.integers(0, degree), special_values), max_size=2)
@@ -322,10 +315,9 @@ def test_local_update_matches_the_oracle_update(data):
         weight=data.draw(st.floats(0.1, 10.0)),
         state=x[0],
         neighbors=tuple(range(1, degree + 1)),
-        inbox=tuple(x[1:]),
     )
     eps = data.draw(st.floats(1e-3, 1.0))
-    got, want = np.float64(local_update(a, eps)), np.float64(inbox_update(a, eps))
+    got, want = np.float64(actor_update(a, eps, x[1:])), np.float64(inbox_update(a, eps, x[1:]))
     assert got.tobytes() == want.tobytes()
 
 
